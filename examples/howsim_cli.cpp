@@ -5,7 +5,6 @@
  *   howsim_cli --arch=active|cluster|smp --task=<name> --disks=N
  *              [--memory-mb=M] [--rate-mbps=R] [--loops=L]
  *              [--no-d2d] [--frontend-mhz=F] [--fast-disk] [--csv]
- *              [--pdes=P]
  *
  * Examples:
  *   howsim_cli --arch=smp --task=sort --disks=64
@@ -21,8 +20,6 @@
 
 #include "core/experiment.hh"
 #include "core/report.hh"
-#include "sim/logging.hh"
-#include "sim/partition.hh"
 
 using namespace howsim;
 using core::Arch;
@@ -48,8 +45,7 @@ usage(const char *prog)
                  "--disks=N\n"
                  "          [--memory-mb=M] [--rate-mbps=R] "
                  "[--loops=L] [--no-d2d]\n"
-                 "          [--frontend-mhz=F] [--fast-disk] [--csv] "
-                 "[--pdes=P]\n"
+                 "          [--frontend-mhz=F] [--fast-disk] [--csv]\n"
                  "tasks: select aggregate groupby sort dcube join "
                  "dmine mview\n",
                  prog);
@@ -99,21 +95,6 @@ main(int argc, char **argv)
             config.interconnectLoops = std::atoi(v->c_str());
         } else if (auto v = argValue(arg, "frontend-mhz")) {
             config.adFrontendMhz = std::atof(v->c_str());
-        } else if (auto v = argValue(arg, "pdes")) {
-            // Strict parse: unlike the permissive atoi knobs above, a
-            // typo here would silently fall back to serial and fake a
-            // "parallel matches serial" result.
-            char *end = nullptr;
-            long p = std::strtol(v->c_str(), &end, 10);
-            if (end == v->c_str() || *end != '\0' || p < 0
-                || p > sim::maxPdesPartitions) {
-                fatal("invalid --pdes=\"%s\": accepted values are 0 "
-                      "(use HOWSIM_PDES, clamped to the device "
-                      "count), 1 (serial), or a partition count up "
-                      "to %d",
-                      v->c_str(), sim::maxPdesPartitions);
-            }
-            config.pdes = static_cast<int>(p);
         } else if (std::strcmp(arg, "--no-d2d") == 0) {
             config.directD2d = false;
         } else if (std::strcmp(arg, "--fast-disk") == 0) {

@@ -1,5 +1,6 @@
 #include "bus/bus.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,12 +34,16 @@ conformanceLog()
     return f;
 }
 
-/** Stable per-process bus id for the conformance trace. */
+/**
+ * Per-process bus id for the conformance trace. Atomic because the
+ * parallel experiment runner constructs machines on several threads
+ * at once.
+ */
 int
 nextBusId()
 {
-    static int n = 0;
-    return n++;
+    static std::atomic<int> n{0};
+    return n.fetch_add(1, std::memory_order_relaxed);
 }
 
 /** Validate before the Resource member is constructed from it. */

@@ -199,8 +199,8 @@ class Bus
     /**
      * Lower bound on the send-to-delivery latency of any transfer:
      * even a zero-byte booking occupies a channel for the startup
-     * (arbitration) time. Feeds PartitionGraph edges as the PDES
-     * lookahead contribution of this interconnect.
+     * (arbitration) time. Keyed hops over this interconnect take it
+     * as their latency.
      */
     sim::Tick minGrantLatency() const { return busParams.startup; }
 

@@ -3,8 +3,8 @@
  * Adapters binding fault::Detector to each machine architecture.
  *
  * The detector (fault/detector.hh) is machine-agnostic: it needs a
- * heartbeat round trip, a rebuild-chunk copy, and the partition
- * geometry of the adopted plan. Each adapter here forwards those onto
+ * heartbeat round trip, a rebuild-chunk copy, and the latency of one
+ * keyed hop. Each adapter here forwards those onto
  * one machine's public availability surface so runExperiment can wire
  * a detector next to any of the three architectures with the same
  * half-dozen lines.
@@ -44,18 +44,6 @@ class AdAvailability : public fault::AvailabilityTransport
 
     int deviceCount() const override { return machine.size(); }
 
-    int
-    homePartition() const override
-    {
-        return machine.frontendPartition();
-    }
-
-    int
-    devicePartition(int device) const override
-    {
-        return machine.drivePartition(device);
-    }
-
     sim::Tick
     crossLatency() const override
     {
@@ -89,18 +77,6 @@ class ClusterAvailability : public fault::AvailabilityTransport
 
     int deviceCount() const override { return machine.size(); }
 
-    int
-    homePartition() const override
-    {
-        return machine.frontendPartition();
-    }
-
-    int
-    devicePartition(int device) const override
-    {
-        return machine.nodePartition(device);
-    }
-
     sim::Tick
     crossLatency() const override
     {
@@ -111,11 +87,7 @@ class ClusterAvailability : public fault::AvailabilityTransport
     arch::ClusterMachine &machine;
 };
 
-/**
- * SMP: probes farm drives over the shared FC. Rebuild runs host-side
- * (the raw-disk split protocol issues from the host partition), so
- * devicePartition is the host's — NOT the drive's RawDisk endpoint.
- */
+/** SMP: probes farm drives over the shared FC. */
 class SmpAvailability : public fault::AvailabilityTransport
 {
   public:
@@ -135,17 +107,6 @@ class SmpAvailability : public fault::AvailabilityTransport
     }
 
     int deviceCount() const override { return machine.diskCount(); }
-
-    int homePartition() const override
-    {
-        return machine.hostPartition();
-    }
-
-    int
-    devicePartition(int) const override
-    {
-        return machine.hostPartition();
-    }
 
     sim::Tick
     crossLatency() const override

@@ -9,7 +9,6 @@
 #include "bus/xfer.hh"
 #include "core/runner.hh"
 #include "sim/logging.hh"
-#include "sim/partition.hh"
 #include "sim/sched.hh"
 #include "sim/simulator.hh"
 
@@ -110,17 +109,17 @@ BenchHarness::~BenchHarness()
         body += strprintf(",\n    \"events_per_sec\": %.6g",
                           static_cast<double>(events) / wall);
     }
-    // pdes + hardware_concurrency let readers of the JSON judge a
-    // parallel entry: a pdes > 1 run on a 1-CPU host (CI) measures
+    // jobs + hardware_concurrency let readers of the JSON judge a
+    // parallel entry: a jobs > 1 run on a 1-CPU host measures
     // overhead, not speedup (docs/perf.md).
     unsigned hw = std::thread::hardware_concurrency();
     body += strprintf(",\n    \"jobs\": %d,\n    \"sched\": \"%s\""
-                      ",\n    \"xfer\": \"%s\",\n    \"pdes\": %d"
+                      ",\n    \"xfer\": \"%s\""
                       ",\n    \"hardware_concurrency\": %u",
                       defaultJobs(),
                       sim::schedPolicyName(sim::defaultSchedPolicy()),
                       bus::xferPolicyName(bus::defaultXferPolicy()),
-                      sim::defaultPdesPartitions(), hw > 0 ? hw : 1);
+                      hw > 0 ? hw : 1);
     for (const auto &[key, value] : extras)
         body += strprintf(",\n    \"%s\": %.6g", key.c_str(), value);
     for (const auto &[key, value] : noteExtras)

@@ -93,18 +93,8 @@ struct ExperimentConfig
      */
     bus::XferPolicy xfer = bus::defaultXferPolicy();
 
-    /**
-     * Parallel-DES partition count for the experiment's Simulator.
-     * 0 (the default) resolves to the HOWSIM_PDES environment
-     * selection clamped to @ref scale, so a matrix-wide HOWSIM_PDES=2
-     * never over-partitions a small experiment; an explicit positive
-     * value is taken as-is and must not exceed @ref scale
-     * (validateConfig rejects more partitions than devices). Like
-     * @ref sched and @ref xfer this is a host-side choice: the
-     * machines plan onto one partition (one coroutine domain), so
-     * simulated results are bit-identical at any setting.
-     */
-    int pdes = 0;
+    /** Kept for perfbench/, which still sets it; only 1 is accepted. */
+    int pdes = 1;
 
     workload::CostModel costs = workload::CostModel::calibrated();
 

@@ -131,11 +131,10 @@ class ActiveDiskArray
 
     /**
      * Barrier over all drives (front-end coordinated), arriving as
-     * drive @p participant. The batch barrier (stream 0) uses the
-     * partitioned keyed protocol once a plan is adopted; streams get
-     * independent legacy barriers (identical cost model, co-located
-     * traffic only) so one query's phase boundary never gates
-     * another's.
+     * drive @p participant. The batch barrier (stream 0) uses keyed
+     * arrivals after useKeyedProtocols(); streams get independent
+     * shared-state barriers (identical cost model) so one query's
+     * phase boundary never gates another's.
      */
     sim::Coro<void> barrier(int participant, int stream = 0);
 
@@ -163,39 +162,17 @@ class ActiveDiskArray
     std::uint64_t driveCapacity() const;
 
     /**
-     * Register this machine's components and interconnect edges with
-     * a partition planner. The serial interconnect and the front-end
-     * form one domain (every loop transfer and relay runs there);
-     * each drive is its own domain, reached only through the keyed
-     * send/deliver/ack handshakes, whose cut edges carry the loop's
-     * minimum grant latency (DESIGN.md §14). Records component ids
-     * for adoptPlan().
+     * Switch the batch barrier to keyed arrivals that cross the
+     * loop's grant latency (DESIGN.md §14). runExperiment calls this
+     * once, after construction; traffic runs keep the shared-state
+     * barrier. A single-drive array keeps it too (logCost(1) == 0
+     * leaves no room for the hop).
      */
-    void describePartitions(sim::PartitionGraph &graph);
+    void useKeyedProtocols();
 
     /**
-     * Adopt a partition plan produced from describePartitions()'s
-     * graph: homes the send-protocol endpoints and switches the batch
-     * barrier to the partitioned arrival protocol.
-     */
-    void adoptPlan(const sim::PartitionGraph::Plan &plan);
-
-    /** Partition of the front-end/loop domain under the plan. */
-    int frontendPartition() const { return fePart; }
-
-    /** Partition of drive @p d under the plan. */
-    int
-    drivePartition(int d) const
-    {
-        return driveParts.empty()
-                   ? fePart
-                   : driveParts[static_cast<std::size_t>(d)];
-    }
-
-    /**
-     * Minimum latency of one keyed hop in the send protocol — the
-     * loop's grant latency, and therefore the lookahead of every
-     * drive/loop cut edge.
+     * Latency of one keyed hop in the send protocol: the loop's grant
+     * latency.
      */
     sim::Tick crossLatency() const { return fc->minGrantLatency(); }
 
@@ -210,7 +187,7 @@ class ActiveDiskArray
      * interconnect, from the front end to drive @p d: a request frame,
      * a firmware turnaround, an ack frame — unless @p d is down at
      * probe arrival, in which case there is no ack and the caller eats
-     * the silence. Executes on the front-end/loop partition.
+     * the silence.
      */
     sim::Coro<bool> heartbeat(int d);
 
@@ -218,9 +195,7 @@ class ActiveDiskArray
      * Copy one replica chunk back onto rejoined drive @p victim: a
      * replica read on its takeover buddy, a flow-controlled send
      * across the loop on the reserved rebuild stream, a local write —
-     * all contending with foreground disklets. Executes on the
-     * victim's partition (merged with the buddy's; see
-     * describePartitions).
+     * all contending with foreground disklets.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
                                  std::uint64_t bytes);
@@ -244,8 +219,6 @@ class ActiveDiskArray
      * injected frame loss: timeout + retransmit with exponential
      * backoff on a drop, immediate NACK retransmit on corruption.
      * Callers branch to the plain fc transfer when faults are off.
-     * Always executes on the front-end/loop partition, which owns
-     * the per-link sequence counters.
      */
     sim::Coro<void> loopTransfer(int src, int dst,
                                  std::uint64_t bytes);
@@ -253,12 +226,11 @@ class ActiveDiskArray
     /**
      * @name Keyed send-protocol legs (DESIGN.md §14)
      *
-     * A send is a chain of detached coroutines, one per partition it
-     * visits, stitched together by keyed events that cross the cut
-     * edges at crossLatency(). The AdBlock and the completion
-     * trigger live in the originating coroutine's suspended frame;
-     * the window barrier orders each leg's accesses before the next
-     * partition's.
+     * A send is a chain of detached coroutines — the sending drive,
+     * the loop/front-end, the receiving drive — stitched together by
+     * keyed events one crossLatency() hop apart. The AdBlock and the
+     * completion trigger live in the originating coroutine's
+     * suspended frame.
      */
     /** @{ */
 
@@ -268,10 +240,10 @@ class ActiveDiskArray
 
     /**
      * Destination-drive leg: count the bytes, enqueue into the inbox
-     * (blocking on flow control), then ack to @p ackPart.
+     * (blocking on flow control), then ack to the sender.
      */
     sim::Coro<void> deliverLeg(int dst, int stream, AdBlock *block,
-                               int ackPart, sim::Trigger *acked);
+                               sim::Trigger *acked);
 
     /** Front-end leg of sendToFrontend: transfer, copy, ingest. */
     sim::Coro<void> feIngestLeg(int src, int stream, AdBlock *block,
@@ -287,8 +259,7 @@ class ActiveDiskArray
      * until the drive restarts, whichever is first, then runs on the
      * drive itself (restarted) or on its takeover buddy (redirected,
      * counted in Counters::stopRedirects). Pure plan arithmetic — no
-     * detector state is read — so the decision is identical on every
-     * partition and across serial/PDES runs.
+     * detector state is read.
      */
     sim::Coro<int> route(int d);
 
@@ -322,17 +293,10 @@ class ActiveDiskArray
     fault::StopSchedule stopSched;
     fault::Injector *stopInj = nullptr;
 
-    // Keyed send-protocol streams: driveKeys[d] is advanced only by
-    // events executing on drive d's partition, feKeys only on the
-    // front-end/loop partition (allocation order fixed in the ctor).
+    // Keyed send-protocol streams: driveKeys[d] keys drive d's posts,
+    // feKeys the loop/front-end's (allocation order fixed in the ctor).
     std::vector<sim::KeyStream> driveKeys;
     sim::KeyStream feKeys;
-
-    // Partition-plan bookkeeping (describePartitions / adoptPlan).
-    int loopComp = -1;
-    std::vector<int> driveComps;
-    int fePart = 0;
-    std::vector<int> driveParts;
 };
 
 } // namespace howsim::diskos

@@ -31,8 +31,7 @@ Detector::Detector(sim::Simulator &s, Injector &injector,
     watchRemaining = static_cast<int>(sched.victims.size());
     // Key-stream allocation order is part of the determinism
     // contract: one rejoin-handshake stream per victim, allocated
-    // here (construction time) in victim order, regardless of how
-    // the machine was partitioned.
+    // here (construction time) in victim order.
     rebuildKeys.reserve(sched.victims.size());
     for (std::size_t i = 0; i < sched.victims.size(); ++i)
         rebuildKeys.push_back(simulator.allocKeyStream());
@@ -43,7 +42,6 @@ Detector::start()
 {
     if (sched.empty())
         return;
-    int home = transport.homePartition();
     if (inj.plan().hbPeriod > 0) {
         // Monitor every device, not just the victims: the probe
         // traffic of healthy devices is part of the interconnect
@@ -51,14 +49,13 @@ Detector::start()
         // keep its lease — the false-positive bound detector_test
         // pins.
         for (int d = 0; d < transport.deviceCount(); ++d) {
-            simulator.spawnOn(home, monitor(d),
-                              strprintf("hb.monitor%d", d));
+            simulator.spawn(monitor(d), strprintf("hb.monitor%d", d));
         }
     } else {
         // hb.period.ms=0: legacy fixed-lease timers, victims only.
         for (const StopSchedule::Victim &v : sched.victims) {
-            simulator.spawnOn(home, fixedLease(v.device),
-                              strprintf("hb.lease%d", v.device));
+            simulator.spawn(fixedLease(v.device),
+                            strprintf("hb.lease%d", v.device));
         }
     }
 }
@@ -84,13 +81,9 @@ Detector::noteRejoin(int device)
         ++idx;
     if (rebuildBytes == 0)
         return;
-    // Start the rebuild loop on the victim's partition via a keyed
-    // handshake — posted even when the partitions coincide, so the
-    // serial and partitioned executives schedule the identical event
-    // (the machines' always-on split protocols set the precedent).
-    int part = transport.devicePartition(device);
+    // Start the rebuild loop one keyed hop later (DESIGN.md §14).
     sim::Tick when = simulator.now() + transport.crossLatency();
-    simulator.postKeyed(part, when, rebuildKeys[idx].next(),
+    simulator.postKeyed(when, rebuildKeys[idx].next(),
                         [this, device] {
                             simulator.spawnDetached(
                                 rebuild(device),
@@ -171,7 +164,7 @@ Detector::rebuild(int victim)
         sim::Tick chunkStart = simulator.now();
         co_await transport.rebuildChunk(victim, off, n);
         ++inj.counters().recoveredBlocks;
-        rebuilt.fetch_add(n, std::memory_order_relaxed);
+        observed.rebuiltBytes += n;
         // Throttle: a chunk occupies at least its rebuild-rate
         // quantum, so foreground queries keep a bounded share of the
         // disks and interconnect however idle the machine is.
@@ -186,9 +179,7 @@ Detector::rebuild(int victim)
 AvailabilityStats
 Detector::stats() const
 {
-    AvailabilityStats out = observed;
-    out.rebuiltBytes = rebuilt.load(std::memory_order_relaxed);
-    return out;
+    return observed;
 }
 
 } // namespace howsim::fault

@@ -10,15 +10,14 @@
  * the link — not a configured constant. Heartbeat send instants are
  * jittered by the repo's stateless counter hash (fault::unitDraw), so
  * the probe schedule is bit-identical across the sched x xfer x jobs
- * x pdes matrix like every other fault site.
+ * matrix like every other fault site.
  *
  * Two clocks matter and are deliberately distinct (DESIGN.md §13):
  *
  *  - The *nominal lease* (FaultPlan::leaseTicks()) gates when a
  *    machine may redirect a dead device's operations to its replica
- *    peer. It is a pure function of the plan, because the redirect
- *    decision executes on the device's own partition and must not
- *    read detector state across a partition cut.
+ *    peer. It is a pure function of the plan, so the redirect
+ *    decision reads no detector state.
  *  - The *measured detection latency* is what the monitors observe:
  *    the first heartbeat probe that both misses its ack and finds
  *    the lease expired. It is always >= the nominal lease and grows
@@ -27,17 +26,15 @@
  *
  * A monitor that sees acks resume after declaring a device dead has
  * witnessed a rejoin (stop.restart.ms); it then starts the
- * replica-driven rebuild on the victim's partition via a keyed
- * cross-partition handshake (the PR 8 pattern), where the rebuild
- * loop copies the victim's share back through the machine's disks
- * and interconnect, throttled to rebuild.rate.mbs, competing with
- * any foreground queries for the same resources.
+ * replica-driven rebuild one keyed hop later (DESIGN.md §14): the
+ * rebuild loop copies the victim's share back through the machine's
+ * disks and interconnect, throttled to rebuild.rate.mbs, competing
+ * with any foreground queries for the same resources.
  */
 
 #ifndef HOWSIM_FAULT_DETECTOR_HH
 #define HOWSIM_FAULT_DETECTOR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -58,8 +55,7 @@ constexpr std::uint64_t kRebuildChunkBytes = 1ull << 20;
 /**
  * Stream / tag-band id reserved for rebuild traffic. Far above any
  * traffic-query stream (qids plus the retry offset stay below 2^19),
- * and never retired: its channels live for the machine's lifetime so
- * no partition ever mutates a channel map mid-run.
+ * and never retired: its channels live for the machine's lifetime.
  */
 constexpr int kRebuildStream = 1 << 20;
 
@@ -74,17 +70,16 @@ class AvailabilityTransport
     virtual ~AvailabilityTransport() = default;
 
     /**
-     * One probe round trip over the machine's interconnect, executed
-     * on the front end's partition. Returns false when the device was
-     * down at probe arrival (no ack; the caller eats the timeout).
+     * One probe round trip over the machine's interconnect, from the
+     * front end. Returns false when the device was down at probe
+     * arrival (no ack; the caller eats the timeout).
      */
     virtual sim::Coro<bool> heartbeat(int device) = 0;
 
     /**
      * Copy one replica chunk back onto the rejoined @p device:
      * replica read on the buddy, an interconnect crossing, a local
-     * write — all through the machine's contended resources. Executes
-     * on the victim's partition.
+     * write — all through the machine's contended resources.
      */
     virtual sim::Coro<void> rebuildChunk(int device,
                                          std::uint64_t offset,
@@ -93,13 +88,7 @@ class AvailabilityTransport
     /** Monitored devices (drives / nodes). */
     virtual int deviceCount() const = 0;
 
-    /** The front end's partition — where every monitor runs. */
-    virtual int homePartition() const = 0;
-
-    /** Partition owning @p device's state under the adopted plan. */
-    virtual int devicePartition(int device) const = 0;
-
-    /** Minimum cut-edge latency of a keyed cross-partition post. */
+    /** Latency of the keyed rejoin -> rebuild hop. */
     virtual sim::Tick crossLatency() const = 0;
 };
 
@@ -128,9 +117,8 @@ struct AvailabilityStats
 
 /**
  * One failure detector per faulted run. Construct after the machine
- * has adopted its partition plan and before Simulator::run() (the
- * monitors are spawned onto the home partition, and the rebuild key
- * streams must be allocated at construction time in fixed order).
+ * and before Simulator::run(): the rebuild key streams must be
+ * allocated at construction time, in fixed order.
  */
 class Detector
 {
@@ -144,9 +132,8 @@ class Detector
     Detector &operator=(const Detector &) = delete;
 
     /**
-     * Spawn one monitor per device on the home partition (or, with
-     * hb.period.ms=0, one fixed lease timer per victim). Call before
-     * the simulator runs.
+     * Spawn one monitor per device (or, with hb.period.ms=0, one
+     * fixed lease timer per victim). Call before the simulator runs.
      */
     void start();
 
@@ -175,17 +162,12 @@ class Detector
      */
     int watchRemaining = 0;
 
-    // Home-partition observations (monitors all run there).
     AvailabilityStats observed;
-
-    // Rebuild loops run on victim partitions; their byte total is
-    // the one cross-partition statistic.
-    std::atomic<std::uint64_t> rebuilt{0};
 
     /**
      * Per-victim key streams for the rejoin -> rebuild handshake
      * (allocated in ctor, fixed order; rebuildKeys[i] belongs to
-     * victims[i] and is advanced only on the home partition).
+     * victims[i]).
      */
     std::vector<sim::KeyStream> rebuildKeys;
 };

@@ -23,7 +23,6 @@
 #ifndef HOWSIM_FAULT_FAULT_HH
 #define HOWSIM_FAULT_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -183,7 +182,7 @@ struct FaultPlan
  * time), so every layer — machines redirecting I/O, the detector
  * measuring latency, the traffic driver retrying queries — agrees on
  * it without exchanging state, which is what keeps timelines
- * bit-identical across the sched x xfer x jobs x pdes matrix.
+ * bit-identical across the sched x xfer x jobs matrix.
  */
 struct StopSchedule
 {
@@ -245,26 +244,20 @@ struct StopSchedule
     static StopSchedule resolve(const FaultPlan &plan, int count);
 };
 
-/**
- * Totals of injected events, readable by tests and timeline probes.
- * Fields are atomics because under the partitioned machines
- * (DESIGN.md §14) faults fire on whichever partition owns the faulted
- * device; increments commute, so the totals stay deterministic even
- * though the interleaving is not.
- */
+/** Totals of injected events, readable by tests and timeline probes. */
 struct Counters
 {
-    std::atomic<std::uint64_t> diskSlowRequests{0};
-    std::atomic<sim::Tick> diskSlowTicks{0};
-    std::atomic<std::uint64_t> diskMediaErrors{0};
-    std::atomic<std::uint64_t> diskRetries{0};
-    std::atomic<std::uint64_t> diskRemaps{0};
-    std::atomic<std::uint64_t> netDrops{0};
-    std::atomic<std::uint64_t> netCorruptions{0};
-    std::atomic<std::uint64_t> netRetransmits{0};
-    std::atomic<std::uint64_t> stopDeaths{0};
-    std::atomic<std::uint64_t> stopRedirects{0};
-    std::atomic<std::uint64_t> recoveredBlocks{0};
+    std::uint64_t diskSlowRequests = 0;
+    sim::Tick diskSlowTicks = 0;
+    std::uint64_t diskMediaErrors = 0;
+    std::uint64_t diskRetries = 0;
+    std::uint64_t diskRemaps = 0;
+    std::uint64_t netDrops = 0;
+    std::uint64_t netCorruptions = 0;
+    std::uint64_t netRetransmits = 0;
+    std::uint64_t stopDeaths = 0;
+    std::uint64_t stopRedirects = 0;
+    std::uint64_t recoveredBlocks = 0;
 };
 
 /** splitmix64 finalizer: the core of every injection decision. */

@@ -37,12 +37,6 @@ MsgLayer::MsgLayer(sim::Simulator &s, Network &n, MsgParams params)
     }
 }
 
-bool
-MsgLayer::obsLive() const
-{
-    return obsSess && obs::session() == obsSess;
-}
-
 /**
  * Transport with injected per-link frame loss. Each attempt moves the
  * bytes over the fabric (a dropped train still occupied the wire); a
@@ -65,7 +59,7 @@ MsgLayer::faultyTransport(int src, int dst, std::uint64_t bytes)
         fault::Injector::NetFail outcome
             = faultInj->netAttempt(site, seq, attempt);
         if (outcome == fault::Injector::NetFail::None) {
-            if (attempt > 0 && obsAttempts && obsLive()) {
+            if (attempt > 0 && obsAttempts) {
                 obsAttempts->sample(
                     static_cast<std::uint64_t>(attempt + 1));
             }
@@ -73,17 +67,17 @@ MsgLayer::faultyTransport(int src, int dst, std::uint64_t bytes)
         }
         fault::Counters &ctr = faultInj->counters();
         ++ctr.netRetransmits;
-        if (obsRetrans && obsLive())
+        if (obsRetrans)
             obsRetrans->add();
         if (outcome == fault::Injector::NetFail::Drop) {
             ++ctr.netDrops;
-            if (obsDrops && obsLive())
+            if (obsDrops)
                 obsDrops->add();
             co_await sim::delay(plan.netTimeout
                                 << std::min(attempt, 16));
         } else {
             ++ctr.netCorruptions;
-            if (obsCorrupt && obsLive())
+            if (obsCorrupt)
                 obsCorrupt->add();
             co_await sim::delay(msgParams.recvOverhead
                                 + msgParams.sendOverhead);
@@ -96,46 +90,23 @@ MsgLayer::queueFor(int host, int tag)
 {
     auto key = std::make_pair(host, tag);
     auto it = queues.find(key);
-    if (it == queues.end()) {
-        if (partitioned) {
-            panic("MsgLayer::queueFor(host=%d, tag=%d): lazy queue "
-                  "creation under a partitioned topology (the batch "
-                  "band is prefilled; traffic streams co-locate)",
-                  host, tag);
-        }
+    if (it == queues.end())
         it = queues.emplace(key, std::make_unique<Queue>()).first;
-    }
     return *it->second;
 }
 
 void
-MsgLayer::setTopology(int fabricPartition, sim::Tick edge,
-                      std::vector<int> partitionOfHost)
+MsgLayer::useKeyedProtocol(sim::Tick hop)
 {
-    if (static_cast<int>(partitionOfHost.size())
-        != network.hostCount()) {
-        panic("MsgLayer::setTopology: %zu partitions for %d hosts",
-              partitionOfHost.size(), network.hostCount());
-    }
-    if (edge <= 0) {
-        panic("MsgLayer::setTopology: cut edges need a positive "
-              "latency");
-    }
-    fabricPart = fabricPartition;
-    edgeLatency = edge;
-    partOfHost = std::move(partitionOfHost);
+    if (hop <= 0)
+        panic("MsgLayer::useKeyedProtocol: hops need a positive latency");
+    keyed = true;
+    hopLatency = hop;
     hostKeys.clear();
-    hostKeys.reserve(partOfHost.size());
-    for (std::size_t h = 0; h < partOfHost.size(); ++h)
+    hostKeys.reserve(static_cast<std::size_t>(network.hostCount()));
+    for (int h = 0; h < network.hostCount(); ++h)
         hostKeys.push_back(simulator.allocKeyStream());
     fabricKeys = simulator.allocKeyStream();
-    // Complete the queue map before the partition threads split:
-    // queueFor runs on every host's partition, and a lazy map insert
-    // would race. Batch runs stay within the stream-0 tag band.
-    for (int h = 0; h < network.hostCount(); ++h)
-        for (int tag = 0; tag < kStreamTagStride; ++tag)
-            queueFor(h, tag);
-    partitioned = true; // after the prefill, which may still insert
 }
 
 sim::Coro<void>
@@ -145,7 +116,7 @@ MsgLayer::send(int src, int dst, Message msg)
     // Span covering send-post to delivery into the destination
     // queue; overlapping sends coexist as distinct async ids.
     std::uint64_t spanId = 0;
-    if (obsLive()) {
+    if (obsSess) {
         spanId = obsSess->trace().asyncBegin(
             "msg", strprintf("msg %d->%d", src, dst),
             simulator.now());
@@ -153,9 +124,9 @@ MsgLayer::send(int src, int dst, Message msg)
         obsBytes->add(msg.bytes);
     }
     co_await sim::delay(msgParams.sendOverhead);
-    if (!partitioned || src == dst) {
-        // Co-located — or loopback, which never leaves the host (and
-        // sees no injected loss): one frame may span all devices.
+    if (!keyed || src == dst) {
+        // Direct — or loopback, which never leaves the host (and
+        // sees no injected loss): one frame spans all devices.
         if (faultInj && src != dst)
             co_await faultyTransport(src, dst, msg.bytes);
         else
@@ -163,17 +134,15 @@ MsgLayer::send(int src, int dst, Message msg)
         int tag = msg.tag;
         co_await queueFor(dst, tag).send(std::move(msg));
     } else {
-        // Partitioned: hand the message to the fabric's partition one
-        // switch hop out and resume when the destination's delivery
-        // ack lands back. The message and the trigger stay in this
-        // suspended frame; each leg constructs its coroutine on its
-        // own partition's thread.
+        // Keyed: hand the message to the fabric one hop out and
+        // resume when the destination's delivery ack lands back. The
+        // message and the trigger stay in this suspended frame.
         sim::Trigger acked;
         Message *m = &msg;
         sim::Trigger *ackedPtr = &acked;
         MsgLayer *self = this;
         simulator.postKeyed(
-            fabricPart, simulator.now() + edgeLatency,
+            simulator.now() + hopLatency,
             hostKeys[static_cast<std::size_t>(src)].next(),
             [self, src, dst, m, ackedPtr] {
                 self->simulator.spawnDetached(
@@ -193,34 +162,27 @@ sim::Coro<void>
 MsgLayer::fabricLeg(int src, int dst, Message *msg,
                     sim::Trigger *acked)
 {
-    // Runs on the fabric's partition, which owns the stage buses, the
-    // per-link sequence counters and the fault decisions.
     if (faultInj)
         co_await faultyTransport(src, dst, msg->bytes);
     else
         co_await network.transport(src, dst, msg->bytes);
     MsgLayer *self = this;
-    int ackPart = partOfHost[static_cast<std::size_t>(src)];
-    simulator.postKeyed(
-        partOfHost[static_cast<std::size_t>(dst)],
-        simulator.now() + edgeLatency, fabricKeys.next(),
-        [self, dst, msg, ackPart, acked] {
-            self->simulator.spawnDetached(
-                self->deliverLeg(dst, msg, ackPart, acked),
-                "msgdeliver");
-        });
+    simulator.postKeyed(simulator.now() + hopLatency, fabricKeys.next(),
+                        [self, dst, msg, acked] {
+                            self->simulator.spawnDetached(
+                                self->deliverLeg(dst, msg, acked),
+                                "msgdeliver");
+                        });
 }
 
 sim::Coro<void>
-MsgLayer::deliverLeg(int dst, Message *msg, int ackPart,
-                     sim::Trigger *acked)
+MsgLayer::deliverLeg(int dst, Message *msg, sim::Trigger *acked)
 {
     int tag = msg->tag;
     co_await queueFor(dst, tag).send(std::move(*msg));
-    simulator.postKeyed(
-        ackPart, simulator.now() + edgeLatency,
-        hostKeys[static_cast<std::size_t>(dst)].next(),
-        [acked] { acked->fire(); });
+    simulator.postKeyed(simulator.now() + hopLatency,
+                        hostKeys[static_cast<std::size_t>(dst)].next(),
+                        [acked] { acked->fire(); });
 }
 
 sim::ProcessRef
@@ -262,16 +224,6 @@ MsgLayer::retireTagRange(int tagLo, int tagHi)
     });
 }
 
-void
-MsgLayer::reserveTag(int host, int tag)
-{
-    // Insert directly rather than via queueFor: reservations run on
-    // the construction thread after setTopology has already flipped
-    // the partitioned flag (its lazy-creation guard would fire).
-    queues.try_emplace(std::make_pair(host, tag),
-                       std::make_unique<Queue>());
-}
-
 Barrier::Barrier(sim::Simulator &s, int n, sim::Tick cost)
     : simulator(s), expected(n), completionCost(cost),
       current(std::make_shared<sim::Trigger>())
@@ -305,79 +257,62 @@ Barrier::arrive()
 }
 
 void
-Barrier::setTopology(int home, sim::Tick edge,
-                     std::vector<int> parts)
+Barrier::useKeyedProtocol(sim::Tick hop)
 {
-    if (static_cast<int>(parts.size()) != expected) {
-        panic("Barrier::setTopology: %zu partitions for %d "
-              "participants",
-              parts.size(), expected);
-    }
-    if (edge > completionCost) {
-        panic("Barrier::setTopology: edge latency %llu exceeds "
-              "completion cost %llu (release margin would be "
-              "negative)",
-              static_cast<unsigned long long>(edge),
+    if (hop > completionCost) {
+        panic("Barrier::useKeyedProtocol: hop latency %llu exceeds "
+              "completion cost %llu (the release would land in the "
+              "past)",
+              static_cast<unsigned long long>(hop),
               static_cast<unsigned long long>(completionCost));
     }
-    partitioned = true;
-    homePartition = home;
-    edgeLatency = edge;
-    partitionOf = std::move(parts);
+    keyed = true;
+    hopLatency = hop;
     arriveKeys.clear();
-    arriveKeys.reserve(partitionOf.size());
-    for (std::size_t i = 0; i < partitionOf.size(); ++i)
+    arriveKeys.reserve(static_cast<std::size_t>(expected));
+    for (int i = 0; i < expected; ++i)
         arriveKeys.push_back(simulator.allocKeyStream());
     releaseKeys = simulator.allocKeyStream();
-    arrivals.reserve(partitionOf.size());
+    arrivals.reserve(static_cast<std::size_t>(expected));
 }
 
 sim::Coro<void>
 Barrier::arrive(int participant)
 {
-    if (!partitioned || expected == 1) {
-        // Legacy shared-state protocol: correct whenever every
-        // participant executes on one partition (and trivially for a
-        // single participant, who is alone on its own).
+    if (!keyed || expected == 1) {
+        // Shared-state protocol (and trivially for a single
+        // participant, who completes the round alone).
         co_await arrive();
         co_return;
     }
     // The trigger lives in this (suspended) frame; the home stores
-    // the pointer and ships it back in the release closure, which
-    // fires it on this partition — the window barrier orders the
-    // suspension before any cross-partition access.
+    // the pointer and fires it from the release event.
     sim::Trigger done;
     sim::Trigger *donePtr = &done;
     Barrier *self = this;
-    simulator.postKeyed(homePartition,
-                        simulator.now() + edgeLatency,
-                        arriveKeys[participant].next(),
-                        [self, participant, donePtr] {
-                            self->homeArrive(participant, donePtr);
-                        });
+    simulator.postKeyed(simulator.now() + hopLatency,
+                        arriveKeys[static_cast<std::size_t>(participant)]
+                            .next(),
+                        [self, donePtr] { self->homeArrive(donePtr); });
     co_await done.wait();
 }
 
 void
-Barrier::homeArrive(int participant, sim::Trigger *done)
+Barrier::homeArrive(sim::Trigger *done)
 {
-    arrivals.emplace_back(participant, done);
+    arrivals.push_back(done);
     if (static_cast<int>(arrivals.size()) < expected)
         return;
-    // The last arrival landed at t_last + edgeLatency, so releasing
-    // at now() - edgeLatency + completionCost reproduces the legacy
-    // tick exactly; the cross-post margin is the difference checked
-    // by setTopology (and, dynamically, by the window boundary).
-    sim::Tick releaseAt =
-        simulator.now() - edgeLatency + completionCost;
+    // The last arrival landed at t_last + hopLatency, so releasing
+    // at now() - hopLatency + completionCost reproduces arrive()'s
+    // tick exactly.
+    sim::Tick releaseAt = simulator.now() - hopLatency + completionCost;
     ++gen;
-    std::vector<std::pair<int, sim::Trigger *>> round;
+    std::vector<sim::Trigger *> round;
     round.swap(arrivals);
-    for (auto &[p, trig] : round) {
-        simulator.postKeyed(partitionOf[p], releaseAt,
-                            releaseKeys.next(),
+    for (sim::Trigger *trig : round)
+        simulator.postKeyed(releaseAt, releaseKeys.next(),
                             [trig] { trig->fire(); });
-    }
 }
 
 AllReduce::AllReduce(sim::Simulator &s, int n, sim::Tick cost, Op op)

@@ -105,27 +105,15 @@ class MsgLayer
     void retireTagRange(int tagLo, int tagHi);
 
     /**
-     * Pre-create the (@p host, @p tag) queue outside the batch band
-     * — e.g. the rebuild band of a fail-stop victim. Must run on the
-     * construction thread before Simulator::run(): once partition
-     * threads split, a lazy queue-map insert would race.
+     * Switch cross-host sends to the keyed three-leg protocol
+     * (DESIGN.md §14): the sender posts the message to the fabric one
+     * @p hopLatency hop out, the fabric leg moves the bytes and posts
+     * the delivery one hop on, and the destination's ack reaches the
+     * sender one hop later. Loopback stays direct. Allocates one key
+     * stream per host, then one for the fabric, so call at
+     * machine-construction time, in a fixed order.
      */
-    void reserveTag(int host, int tag);
-
-    /**
-     * Declare the partitioned topology (DESIGN.md §14): the fabric's
-     * partition — which owns the stage buses, the link sequence
-     * counters and the fault decisions — the minimum cut-edge latency
-     * (one switch hop), and each host's partition. From then on a
-     * cross-host send() is a chain of three coroutine legs (source,
-     * fabric, destination) stitched by keyed events, instead of one
-     * frame spanning all three devices; loopback stays local to the
-     * host. Allocates key streams and the batch band's (host, tag)
-     * queues, so call order must be fixed at machine-construction
-     * time and further queues must never appear lazily.
-     */
-    void setTopology(int fabricPartition, sim::Tick edgeLatency,
-                     std::vector<int> partitionOfHost);
+    void useKeyedProtocol(sim::Tick hopLatency);
 
     const MsgParams &params() const { return msgParams; }
 
@@ -136,11 +124,11 @@ class MsgLayer
     sim::Coro<void> faultyTransport(int src, int dst,
                                     std::uint64_t bytes);
 
-    /** @name Keyed send-protocol legs (after setTopology)
+    /**
+     * @name Keyed send-protocol legs (after useKeyedProtocol)
      *
      * The Message and the completion trigger live in send()'s
-     * suspended frame; the window barrier orders each leg's accesses
-     * before the next partition's (DESIGN.md §14).
+     * suspended frame.
      */
     /** @{ */
 
@@ -148,18 +136,11 @@ class MsgLayer
     sim::Coro<void> fabricLeg(int src, int dst, Message *msg,
                               sim::Trigger *acked);
 
-    /** Destination leg: enqueue, then ack back to @p ackPart. */
-    sim::Coro<void> deliverLeg(int dst, Message *msg, int ackPart,
+    /** Destination leg: enqueue, then ack back to the sender. */
+    sim::Coro<void> deliverLeg(int dst, Message *msg,
                                sim::Trigger *acked);
 
     /** @} */
-
-    /**
-     * Cached obs hooks are only valid on the thread that owns the
-     * session; partition threads (whose thread-local session is
-     * null) must skip them.
-     */
-    bool obsLive() const;
 
     sim::Simulator &simulator;
     Network &network;
@@ -179,13 +160,10 @@ class MsgLayer
     obs::Counter *obsCorrupt = nullptr;
     obs::Histogram *obsAttempts = nullptr;
 
-    // Partitioned topology (setTopology). hostKeys[h] is advanced
-    // only by events executing on host h's partition (send posts and
-    // delivery acks), fabricKeys only on the fabric's.
-    bool partitioned = false;
-    int fabricPart = 0;
-    sim::Tick edgeLatency = 0;
-    std::vector<int> partOfHost;
+    // Keyed protocol (useKeyedProtocol): hostKeys[h] keys host h's
+    // send posts and delivery acks, fabricKeys the fabric's deliveries.
+    bool keyed = false;
+    sim::Tick hopLatency = 0;
     std::vector<sim::KeyStream> hostKeys;
     sim::KeyStream fabricKeys;
 };
@@ -194,16 +172,13 @@ class MsgLayer
  * Reusable all-to-all barrier for a fixed-size group. Completion is
  * charged a logarithmic (dissemination-style) latency.
  *
- * Two arrival protocols share the timing model. The legacy arrive()
- * mutates shared round state directly and requires every participant
- * on one partition. Once setTopology() declares a home partition and
- * the participants' partitions, arrive(participant) instead posts a
- * keyed arrival notification to the home across the declared edge;
- * the home collects arrivals in deterministic key order and, when the
- * round is full, posts keyed releases that land at exactly
- * t_last + completionCost — the same tick the legacy path fires at —
- * so the barrier synchronizes devices split across partitions without
- * any shared coroutine frame crossing the cut (DESIGN.md §14).
+ * Two arrival protocols share the timing model. arrive() mutates the
+ * shared round state directly. Once useKeyedProtocol() is called,
+ * arrive(participant) instead posts a keyed arrival to the barrier's
+ * home one hop out; the home collects arrivals in key order and, when
+ * the round is full, posts keyed releases that land at exactly
+ * t_last + completionCost — the tick arrive() fires at (DESIGN.md
+ * §14).
  */
 class Barrier
 {
@@ -218,24 +193,21 @@ class Barrier
     sim::Coro<void> arrive();
 
     /**
-     * Partition-aware arrival for @p participant (0-based, stable).
-     * Falls back to the legacy protocol until setTopology() is
-     * called. Must execute on the participant's declared partition.
+     * Keyed arrival for @p participant (0-based, stable). Falls back
+     * to arrive() until useKeyedProtocol() is called.
      */
     sim::Coro<void> arrive(int participant);
 
     /**
-     * Declare the partitioned topology: the home partition that
-     * collects arrivals, the minimum cut-edge latency an arrival
-     * notification crosses, and each participant's partition.
-     * Allocates the round's key streams, so call order must be fixed
-     * at machine-construction time (Simulator::allocKeyStream).
-     * @p edgeLatency must not exceed the completion cost — the
-     * release posts with a margin of completionCost - edgeLatency,
-     * which conservative synchronization needs >= the lookahead.
+     * Switch arrive(participant) to keyed arrivals that cross
+     * @p hopLatency to the home. Allocates one key stream per
+     * participant, then one for the releases, so call at
+     * machine-construction time, in a fixed order. @p hopLatency
+     * must not exceed the completion cost: the release lands
+     * completionCost - hopLatency after the last arrival reaches
+     * the home.
      */
-    void setTopology(int home, sim::Tick edgeLatency,
-                     std::vector<int> partitionOf);
+    void useKeyedProtocol(sim::Tick hopLatency);
 
     /** Rounds completed so far. */
     int generation() const { return gen; }
@@ -244,8 +216,8 @@ class Barrier
     static sim::Tick logCost(int n, sim::Tick per_step);
 
   private:
-    /** Home-partition side of one keyed arrival. */
-    void homeArrive(int participant, sim::Trigger *done);
+    /** Home side of one keyed arrival. */
+    void homeArrive(sim::Trigger *done);
 
     sim::Simulator &simulator;
     int expected;
@@ -254,18 +226,16 @@ class Barrier
     int gen = 0;
     std::shared_ptr<sim::Trigger> current;
 
-    /** @name Partitioned mode (after setTopology) */
+    /** @name Keyed protocol (after useKeyedProtocol) */
     /** @{ */
-    bool partitioned = false;
-    int homePartition = 0;
-    sim::Tick edgeLatency = 0;
-    std::vector<int> partitionOf;
-    /** Per-participant arrival streams; advanced on the owner only. */
+    bool keyed = false;
+    sim::Tick hopLatency = 0;
+    /** Per-participant arrival streams. */
     std::vector<sim::KeyStream> arriveKeys;
-    /** Release stream; advanced on the home partition only. */
+    /** Release stream. */
     sim::KeyStream releaseKeys;
-    /** Home-owned arrival log for the open round, in key order. */
-    std::vector<std::pair<int, sim::Trigger *>> arrivals;
+    /** Arrivals of the open round, in key order. */
+    std::vector<sim::Trigger *> arrivals;
     /** @} */
 };
 

@@ -47,11 +47,7 @@ struct Arena::Control
         std::size_t capacity; //!< usable bytes after this header
     };
 
-    /**
-     * Treiber stacks: release() pushes from any thread; allocate()
-     * pops only on the owner thread (single consumer, so no ABA).
-     */
-    std::atomic<FreeNode *> freelist[nClasses] = {};
+    FreeNode *freelist[nClasses] = {};
 
     Chunk *chunks = nullptr; //!< newest first
     std::byte *bump = nullptr;
@@ -70,12 +66,12 @@ struct Arena::Control
      * block (and its chunks) dies when this reaches zero, which may
      * be a block release long after the handle is gone.
      */
-    std::atomic<std::uint64_t> refs{1};
+    std::uint64_t refs = 1;
 
     static void
     unref(Control *c) noexcept
     {
-        if (c->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (--c->refs == 0)
             destroy(c);
     }
 
@@ -127,7 +123,7 @@ Arena::allocate(std::size_t bytes)
         // Oversize: plain ::new, but tagged with the control block so
         // the arena's live count still covers it.
         ++c.oversize;
-        c.refs.fetch_add(1, std::memory_order_relaxed);
+        ++c.refs;
         auto *h = static_cast<Header *>(::operator new(need));
         h->owner = &c;
         h->cls = 0;
@@ -135,22 +131,15 @@ Arena::allocate(std::size_t bytes)
     }
     std::size_t cls = (need + classBytes - 1) / classBytes;
     ++c.allocs;
-    c.refs.fetch_add(1, std::memory_order_relaxed);
+    ++c.refs;
 
-    // Single-consumer pop: only the owner thread executes this, so
-    // the head cannot be recycled underneath the CAS.
-    auto &list = c.freelist[cls];
-    Control::FreeNode *head = list.load(std::memory_order_acquire);
-    while (head) {
-        if (list.compare_exchange_weak(head, head->next,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-            ++c.freelistHits;
-            auto *h = reinterpret_cast<Header *>(head);
-            h->owner = &c;
-            h->cls = cls;
-            return h + 1;
-        }
+    if (Control::FreeNode *head = c.freelist[cls]) {
+        c.freelist[cls] = head->next;
+        ++c.freelistHits;
+        auto *h = reinterpret_cast<Header *>(head);
+        h->owner = &c;
+        h->cls = cls;
+        return h + 1;
     }
 
     std::size_t sz = cls * classBytes;
@@ -200,14 +189,9 @@ Arena::release(void *p) noexcept
         Control::unref(c);
         return;
     }
-    // Any-thread push onto the class free list.
     auto *node = reinterpret_cast<Control::FreeNode *>(h);
-    auto &list = c->freelist[h->cls];
-    node->next = list.load(std::memory_order_relaxed);
-    while (!list.compare_exchange_weak(node->next, node,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-    }
+    node->next = c->freelist[h->cls];
+    c->freelist[h->cls] = node;
     Control::unref(c);
 }
 
@@ -227,13 +211,12 @@ void
 Arena::reset()
 {
     Control &c = *ctl;
-    std::uint64_t refs = c.refs.load(std::memory_order_acquire);
-    if (refs != 1) {
+    if (c.refs != 1) {
         panic("Arena::reset with %llu live allocation(s)",
-              static_cast<unsigned long long>(refs - 1));
+              static_cast<unsigned long long>(c.refs - 1));
     }
     for (auto &list : c.freelist)
-        list.store(nullptr, std::memory_order_relaxed);
+        list = nullptr;
     c.reuse = c.chunks;
     c.bump = c.bumpEnd = nullptr;
 }
@@ -254,7 +237,7 @@ Arena::stats() const
     s.allocs = c.allocs;
     s.freelistHits = c.freelistHits;
     s.oversize = c.oversize;
-    s.live = c.refs.load(std::memory_order_acquire) - 1;
+    s.live = c.refs - 1;
     return s;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-partition slab arena for simulation-lifetime allocations.
+ * Per-simulator slab arena for simulation-lifetime allocations.
  *
  * The event loop's remaining allocator traffic is coroutine frames
  * (every spawned process and awaited child) and the rare oversized
@@ -10,25 +10,20 @@
  * Arena instead carves bump-pointer chunks and recycles freed blocks
  * through per-size-class free lists, so the steady state is a pop
  * from a singly linked list with no lock and no syscall; the chunks
- * are released wholesale when the owning Simulator (or partition)
- * tears down.
+ * are released wholesale when the owning Simulator tears down.
  *
- * Threading contract — designed for the parallel-DES partitioning
- * layer (partition.hh), where each partition owns one arena:
+ * Threading contract: an arena belongs to one thread, the thread
+ * whose ArenaScope installed it (a Simulator's constructing thread).
+ * allocate() and release() of its blocks run on that thread only;
+ * parallel experiments each build their own Simulator and so their
+ * own arena. Nothing in the arena is synchronized.
  *
- *  - allocate() is called only by the arena's owner thread (the
- *    thread whose ArenaScope installed it).
- *  - release() may be called from ANY thread: a coroutine frame
- *    allocated at setup time on the main thread may be reaped by a
- *    partition worker mid-run. Free lists are therefore Treiber
- *    stacks (atomic head, CAS push); the single-consumer pop on the
- *    owner thread makes the stack ABA-free.
  *  - Every block carries a 16-byte header naming its owning arena
  *    control block, so release() needs no thread-local lookup and
  *    blocks that outlive their Arena handle (a ProcessRef held past
- *    the Simulator, a cross-partition action) stay valid: the control
- *    block is refcounted and frees its chunks only when the handle is
- *    gone AND the last live block is released.
+ *    the Simulator) stay valid: the control block counts its live
+ *    blocks and frees its chunks only when the handle is gone AND
+ *    the last live block is released.
  *  - With no installed arena (or a block larger than the largest size
  *    class) allocation falls through to ::operator new, tagged in the
  *    header so release() routes it back correctly.
@@ -37,14 +32,13 @@
 #ifndef HOWSIM_SIM_ARENA_HH
 #define HOWSIM_SIM_ARENA_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
 namespace howsim::sim
 {
 
-/** Slab allocator with cross-thread release; see the file comment. */
+/** Single-thread slab allocator; see the file comment. */
 class Arena
 {
   public:
@@ -70,13 +64,12 @@ class Arena
     /**
      * Allocate @p bytes (payload view; the header is internal). The
      * returned pointer is aligned to alignof(std::max_align_t).
-     * Owner-thread only.
      */
     void *allocate(std::size_t bytes);
 
     /**
      * Return @p p — obtained from any Arena's allocate() or from
-     * allocateGlobal() — to its source. Any thread.
+     * allocateGlobal() — to its source.
      */
     static void release(void *p) noexcept;
 

@@ -74,9 +74,9 @@ class EventQueue
      * Schedule with an explicit sequence number instead of the fresh
      * counter. This is the keyed-event entry point (DESIGN.md §14):
      * the caller supplies a KeyStream-allocated seq in the
-     * kKeyedSeqBand so same-tick order is a property of the event,
-     * not of which queue it was scheduled into. The fresh counter is
-     * untouched — ordinary events keep their band (below 2^62) and
+     * kKeyedSeqBand so same-tick order is a property of the posting
+     * entity, not of when the event was scheduled. The fresh counter
+     * is untouched — ordinary events keep their band (below 2^62) and
      * drain first at any shared tick.
      */
     void

@@ -46,13 +46,53 @@ SchedPolicy defaultSchedPolicy();
 /**
  * One pending event. The sequence number is a per-queue schedule
  * counter that breaks same-tick ties, keeping simulations
- * deterministic regardless of the underlying container.
+ * deterministic regardless of the underlying container, or a key
+ * from a KeyStream (below) for a keyed event.
  */
 struct SchedEntry
 {
     Tick when;
     std::uint64_t seq;
     InlineAction action;
+};
+
+/**
+ * Sequence-number band for *keyed* events (DESIGN.md §14). Ordinary
+ * schedules draw fresh sequence numbers from the queue's counter, so
+ * their same-tick order is scheduling order. A keyed event instead
+ * carries a sequence number from a KeyStream owned by the logical
+ * entity that posts it (a disk, a link, a barrier), so its same-tick
+ * order is a property of that entity. The band bit orders the two
+ * populations: fresh counters never reach 2^62, so at a given tick
+ * every ordinary event runs before every keyed one.
+ */
+constexpr std::uint64_t kKeyedSeqBand = std::uint64_t{1} << 62;
+
+/**
+ * Allocator of keyed sequence numbers for one logical entity. Streams
+ * are handed out by Simulator::allocKeyStream() in construction order,
+ * so the assignment is identical across runs. Key layout:
+ * band | stream << 36 | counter.
+ */
+class KeyStream
+{
+  public:
+    KeyStream() = default;
+
+    explicit KeyStream(std::uint64_t streamId)
+        : base(kKeyedSeqBand | (streamId << counterBits))
+    {
+    }
+
+    /** The next key; strictly increasing within the stream. */
+    std::uint64_t next() { return base | counter++; }
+
+    /** Bits reserved for the per-stream counter. */
+    static constexpr unsigned counterBits = 36;
+
+  private:
+    std::uint64_t base = kKeyedSeqBand;
+    std::uint64_t counter = 0;
 };
 
 /** Min-order comparator for the std:: heap algorithms. */

@@ -15,7 +15,6 @@
 #include "sim/arena.hh"
 #include "sim/coro.hh"
 #include "sim/event_queue.hh"
-#include "sim/partition.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::obs
@@ -44,57 +43,29 @@ using ProcessRef = std::shared_ptr<Process>;
  * size-class free lists instead of the global heap and are released
  * wholesale when the simulator dies.
  *
- * With more than one partition (the HOWSIM_PDES environment variable,
- * or the explicit constructor argument) the executive runs
- * conservative parallel DES: each partition drains its own event
- * queue and clock on its own thread — partition 0 on the calling
- * thread — inside synchronization windows sized by the lookahead (the
- * minimum cross-partition event latency, see PartitionGraph::plan).
- * Cross-partition events travel through per-source outboxes and are
- * applied at the window boundary in deterministic
- * (tick, seq, partition) order, so a parallel run's event order —
- * and therefore its stats and output — is reproducible, and
- * bit-identical to serial whenever every event stays in one
- * partition. Work is homed to a partition with spawnOn(); events
- * cross partitions with postCross(). See DESIGN.md §14.
+ * A simulator runs on the thread that built it; independent
+ * experiments run in parallel as independent simulators
+ * (core::runExperiments).
  */
 class Simulator
 {
   public:
-    /** Use the HOWSIM_SCHED policy and HOWSIM_PDES partition count. */
-    Simulator()
-        : Simulator(defaultSchedPolicy(), defaultPdesPartitions())
-    {
-    }
+    /** Use the HOWSIM_SCHED policy. */
+    Simulator() : Simulator(defaultSchedPolicy()) {}
 
-    /** Explicit scheduler policy, HOWSIM_PDES partition count. */
-    explicit Simulator(SchedPolicy sched)
-        : Simulator(sched, defaultPdesPartitions())
-    {
-    }
+    /** Explicit scheduler policy. */
+    explicit Simulator(SchedPolicy sched);
 
-    /**
-     * Fully explicit: scheduler policy and partition count.
-     * @p pdesPartitions of 1 is the serial executive; more engages
-     * the windowed parallel loop with that many event queues.
-     */
-    Simulator(SchedPolicy sched, int pdesPartitions);
+    /** Kept for perfbench/'s calls; panics unless @p partitions is 1. */
+    Simulator(SchedPolicy sched, int partitions);
 
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    /**
-     * Current simulated time. Inside a parallel run this is the
-     * executing partition's clock; partitions only ever observe their
-     * own (windows keep them within lookahead of each other).
-     */
-    Tick
-    now() const
-    {
-        return pdes ? pdesNow() : currentTick;
-    }
+    /** Current simulated time. */
+    Tick now() const { return currentTick; }
 
     /** Schedule an action at an absolute tick (>= now). */
     void scheduleAt(Tick when, EventQueue::Action action);
@@ -129,47 +100,20 @@ class Simulator
     ProcessRef spawnDetached(Coro<void> body, std::string name = "proc");
 
     /**
-     * Start a process homed to @p partition: its events drain on that
-     * partition's thread. Under the serial executive this is spawn().
-     * May be called outside run() or from the target partition
-     * itself; joining a process from another partition is not
-     * supported (the joiner list is unsynchronized by design — use
-     * postCross() handshakes instead).
+     * Schedule @p action at absolute tick @p when with the explicit
+     * sequence number @p key, drawn from a KeyStream allocated with
+     * allocKeyStream(). At a shared tick keyed events run after every
+     * ordinary event, in key order (DESIGN.md §14). Panics on a key
+     * outside kKeyedSeqBand or a tick in the past.
      */
-    ProcessRef spawnOn(int partition, Coro<void> body,
-                       std::string name = "proc");
-
-    /**
-     * Schedule @p action on @p partition's queue at absolute tick
-     * @p when. From another partition the event is parked in this
-     * partition's outbox and applied at the next window boundary;
-     * conservative correctness requires @p when to be at least the
-     * end of the current window — at least lookahead() past the
-     * window start — and the boundary panics on a violation. Local
-     * and serial calls are plain scheduleAt().
-     */
-    void postCross(int partition, Tick when, EventQueue::Action action);
-
-    /**
-     * Keyed postCross: like postCross(), but the event carries the
-     * explicit sequence number @p key (from a KeyStream allocated
-     * with allocKeyStream()) instead of drawing a fresh one from the
-     * target queue. Because the (tick, key) pair is a property of the
-     * posting entity, same-tick order is identical no matter how the
-     * machine is partitioned — this is what makes the machines'
-     * cross-device handshakes bit-identical between serial and any
-     * HOWSIM_PDES setting (DESIGN.md §14). Serial and same-partition
-     * calls schedule directly with the key; cross-partition calls
-     * park in the outbox and keep the key through the merge.
-     */
-    void postKeyed(int partition, Tick when, std::uint64_t key,
+    void postKeyed(Tick when, std::uint64_t key,
                    EventQueue::Action action);
 
     /**
-     * Allocate the next deterministic key stream. Must be called at
-     * construction time (machine/task-runner setup, before run()), in
-     * a fixed order independent of partitioning — stream identity is
-     * part of the event order.
+     * Allocate the next key stream. Stream ids are handed out in call
+     * order and order keyed events across entities, so the calls must
+     * come in an order the simulation alone fixes: at construction
+     * time, or from an event (a traffic query's task runner).
      */
     KeyStream allocKeyStream() { return KeyStream(nextKeyStream++); }
 
@@ -186,26 +130,6 @@ class Simulator
     /** The event queue's scheduler policy. */
     SchedPolicy schedPolicy() const { return queue.policy(); }
 
-    /** Partition count (1 = serial executive). */
-    int partitions() const;
-
-    /** The partition executing on this thread (0 outside run()). */
-    int currentPartition() const;
-
-    /**
-     * Set the synchronization window size for parallel runs, normally
-     * from PartitionGraph::plan().lookahead. maxTick (the default)
-     * means "no cross-partition edges": one window covers the whole
-     * run. Ignored by the serial executive.
-     */
-    void setLookahead(Tick la);
-
-    /** The current lookahead (maxTick under the serial executive). */
-    Tick lookahead() const;
-
-    /** Counters of the parallel runs so far (zeros when serial). */
-    PdesStats pdesStats() const;
-
     /** Number of processes ever spawned. */
     std::size_t processCount() const { return processes.size(); }
 
@@ -219,18 +143,9 @@ class Simulator
   private:
     friend class Process;
 
-    struct Pdes;
-
     ProcessRef spawnImpl(Coro<void> body, std::string name,
-                         bool detached, int partition);
+                         bool detached);
     void reap(Process *proc);
-
-    Tick pdesNow() const;
-    void pdesSchedule(Tick when, EventQueue::Action action,
-                      bool validate);
-    Tick runParallel(Tick until);
-    void partitionLoop(int part, Tick until);
-    void windowBoundary(Tick until);
 
     Tick currentTick = 0;
     EventQueue queue;
@@ -251,9 +166,6 @@ class Simulator
     std::uint64_t executed = 0;
     std::uint64_t nextKeyStream = 0;
     Simulator *previous = nullptr;
-
-    /** Parallel-DES state; null under the serial executive. */
-    std::unique_ptr<Pdes> pdes;
 
     /**
      * The thread's observability session captured at construction

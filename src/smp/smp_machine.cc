@@ -59,9 +59,7 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
         raw.push_back(std::make_unique<os::RawDisk>(*farm.back(),
                                                     fc.get(),
                                                     smpParams.costs));
-        // Always-on split protocol: serial and parallel runs cross
-        // the host/drive boundary identically, so figure output is
-        // bit-identical under every HOWSIM_PDES setting. The return
+        // Always-on split protocol (DESIGN.md §14); the return
         // flight models the FC arbitration grant.
         raw.back()->enableSplit(s, fc->minGrantLatency());
     }
@@ -253,51 +251,6 @@ SmpMachine::SharedQueue::next()
     std::int64_t idx = head < limit ? head++ : -1;
     lock.release();
     co_return idx;
-}
-
-void
-SmpMachine::describePartitions(sim::PartitionGraph &graph)
-{
-    // Host domain 0: boards, XIO and the FC controller — worker
-    // coroutines span CPU, shared-queue and bus state freely, and
-    // the shared queues couple the processors. Each farm drive is
-    // its own domain: the only traffic across the cut is RawDisk's
-    // split handshake, so the cut-edge latency is the smaller of its
-    // two flights (issue at +ioQueue, completion at the FC grant).
-    constexpr int hostDomain = 0;
-    fcComp = graph.addComponent("smp.fc", hostDomain);
-    int xioComp = graph.addComponent("smp.xio", hostDomain);
-    graph.addEdge(xioComp, fcComp, fc->minGrantLatency());
-    for (int b = 0; b < boardCount(); ++b) {
-        int c = graph.addComponent(strprintf("smp.board%d", b),
-                                   hostDomain);
-        graph.addEdge(c, xioComp, xio->minGrantLatency());
-    }
-    diskComps.clear();
-    for (int d = 0; d < diskCount(); ++d) {
-        int c = graph.addComponent(strprintf("smp.disk%d", d),
-                                   1 + d);
-        graph.addEdge(c, fcComp,
-                      raw[static_cast<std::size_t>(d)]
-                          ->splitEdgeLatency());
-        diskComps.push_back(c);
-    }
-}
-
-void
-SmpMachine::adoptPlan(const sim::PartitionGraph::Plan &plan)
-{
-    if (fcComp < 0
-        || diskComps.size() != static_cast<std::size_t>(diskCount()))
-        panic("SmpMachine::adoptPlan before describePartitions");
-    hostPart = plan.partitionOf[static_cast<std::size_t>(fcComp)];
-    diskParts.resize(diskComps.size());
-    for (int d = 0; d < diskCount(); ++d) {
-        auto idx = static_cast<std::size_t>(d);
-        diskParts[idx] = plan.partitionOf[static_cast<std::size_t>(
-            diskComps[idx])];
-        raw[idx]->setSplitParts(hostPart, diskParts[idx]);
-    }
 }
 
 } // namespace howsim::smp

@@ -155,37 +155,6 @@ class SmpMachine
     const bus::Bus &fcBus() const { return *fc; }
     const bus::Bus &xioBus() const { return *xio; }
 
-    /**
-     * Register this machine's components and interconnect edges with
-     * a partition planner. Boards, XIO and the FC controller form
-     * the host domain (worker coroutines span CPU, queue and bus
-     * state freely); each farm drive is its own domain, reached only
-     * through RawDisk's split handshake, whose cut edges carry the
-     * smaller of the issue and completion flight latencies
-     * (DESIGN.md §14). Records the component ids for adoptPlan().
-     */
-    void describePartitions(sim::PartitionGraph &graph);
-
-    /**
-     * Adopt a partition plan produced from describePartitions()'s
-     * graph: homes each RawDisk's split endpoints on the planned
-     * partitions. Must be called with plans from this machine's own
-     * graph (component ids match).
-     */
-    void adoptPlan(const sim::PartitionGraph::Plan &plan);
-
-    /** Partition of the host domain under the adopted plan. */
-    int hostPartition() const { return hostPart; }
-
-    /** Partition of drive @p d under the adopted plan. */
-    int
-    diskPartition(int d) const
-    {
-        return diskParts.empty()
-                   ? hostPart
-                   : diskParts[static_cast<std::size_t>(d)];
-    }
-
     /** @name Availability (fail-stop takeover, DESIGN.md §13) */
     /** @{ */
 
@@ -196,8 +165,7 @@ class SmpMachine
      * One failure-detector probe round trip over the shared FC loop
      * to farm drive @p d: a request frame, a controller-interrupt
      * turnaround, an ack frame — unless @p d is down at probe
-     * arrival, in which case there is no ack. Executes on the host
-     * partition (the FC controller's home).
+     * arrival, in which case there is no ack.
      */
     sim::Coro<bool> heartbeat(int d);
 
@@ -205,8 +173,7 @@ class SmpMachine
      * Copy one mirror chunk back onto rejoined drive @p victim: a
      * mirror read, an XIO crossing, a local write, all through the
      * OS raw-disk path and the shared FC — contending with foreground
-     * I/O. Executes on the host partition (the raw-disk split
-     * protocol issues from there).
+     * I/O.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
                                  std::uint64_t bytes);
@@ -256,13 +223,6 @@ class SmpMachine
      * member).
      */
     sim::Coro<int> route(DiskGroup group, int disk_idx);
-
-    // Partition-plan bookkeeping: component ids recorded by
-    // describePartitions, partitions adopted from the plan.
-    int fcComp = -1;
-    std::vector<int> diskComps;
-    int hostPart = 0;
-    std::vector<int> diskParts;
 };
 
 } // namespace howsim::smp

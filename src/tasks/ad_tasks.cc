@@ -56,8 +56,8 @@ AdTaskRunner::AdTaskRunner(sim::Simulator &s,
                            workload::CostModel costs)
     : simulator(s), machine(machine_), cm(costs)
 {
-    // Coordination key streams, allocated in fixed order so stream
-    // identity is independent of how the machine is partitioned.
+    // Coordination key streams, allocated in fixed order: stream
+    // identity is part of the deterministic event order.
     doneKeys.reserve(static_cast<std::size_t>(machine.size()));
     for (int d = 0; d < machine.size(); ++d)
         doneKeys.push_back(s.allocKeyStream());
@@ -777,8 +777,7 @@ AdTaskRunner::mviewWorker(int d, const DatasetSpec &data)
 void
 AdTaskRunner::notifySortDone(int d, int *remaining, sim::Trigger *done)
 {
-    simulator.postKeyed(machine.frontendPartition(),
-                        simulator.now() + machine.crossLatency(),
+    simulator.postKeyed(simulator.now() + machine.crossLatency(),
                         doneKeys[static_cast<std::size_t>(d)].next(),
                         [remaining, done] {
                             if (--*remaining == 0)
@@ -808,9 +807,8 @@ AdTaskRunner::sortCoordinator()
     // Two phases; this coordinator records their elapsed times as
     // observed from the front-end: a phase ends when the last
     // worker's keyed done-notification lands here, one crossLatency()
-    // hop after the work finished — identically under serial and
-    // parallel execution. The obs phase spans bracket exactly the
-    // intervals the buckets measure, so span durations equal the
+    // hop after the work finished. The obs phase spans bracket exactly
+    // the intervals the buckets measure, so span durations equal the
     // Figure 3 numbers.
     const int n = size();
     Tick t0 = simulator.now();
@@ -826,9 +824,7 @@ AdTaskRunner::sortCoordinator()
         for (int d = 0; d < n; ++d) {
             sim::Trigger *go
                 = sortGo[static_cast<std::size_t>(d)].get();
-            simulator.postKeyed(machine.drivePartition(d),
-                                simulator.now()
-                                    + machine.crossLatency(),
+            simulator.postKeyed(simulator.now() + machine.crossLatency(),
                                 goKeys.next(), [go] { go->fire(); });
         }
         co_await sortP2Done.wait();
@@ -867,7 +863,6 @@ AdTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
     shards.assign(static_cast<std::size_t>(size()), TaskResult{});
     doneMarkers = 0;
     const int n = size();
-    const int fePart = machine.frontendPartition();
     std::vector<sim::ProcessRef> procs;
 
     Tick fe_merge_per_byte = 0;
@@ -876,24 +871,16 @@ AdTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
         fe_merge_per_byte = cm.groupbyHash / (2 * data.tupleBytes);
     }
 
-    // Every worker is homed to its device's partition here, before
-    // run() starts (spawning across partitions mid-run is not
-    // supported). Under the serial executive, co-located plans and
-    // traffic streams every partition below resolves to 0.
     switch (kind) {
       case TaskKind::Select:
       case TaskKind::Aggregate:
       case TaskKind::GroupBy:
         for (int d = 0; d < n; ++d) {
-            procs.push_back(
-                simulator.spawnOn(machine.drivePartition(d),
-                                  scanWorker(d, data, kind),
-                                  "scan-worker"));
+            procs.push_back(simulator.spawn(scanWorker(d, data, kind),
+                                            "scan-worker"));
         }
-        procs.push_back(
-            simulator.spawnOn(fePart,
-                              frontendConsumer(fe_merge_per_byte),
-                              "fe"));
+        procs.push_back(simulator.spawn(
+            frontendConsumer(fe_merge_per_byte), "fe"));
         break;
       case TaskKind::Sort:
         sortP1Remaining = 2 * n;
@@ -904,64 +891,48 @@ AdTaskRunner::launch(TaskKind kind, const DatasetSpec &data)
         for (int d = 0; d < n; ++d)
             sortGo.push_back(std::make_unique<sim::Trigger>());
         for (int d = 0; d < n; ++d) {
-            int part = machine.drivePartition(d);
-            procs.push_back(simulator.spawnOn(
-                part,
+            procs.push_back(simulator.spawn(
                 runAndNotify(sortPartitionWorker(d, data), d,
                              &sortP1Remaining, &sortP1Done),
                 "sort-part"));
-            procs.push_back(simulator.spawnOn(
-                part,
+            procs.push_back(simulator.spawn(
                 runAndNotify(sortCollector(d, data), d,
                              &sortP1Remaining, &sortP1Done),
                 "sort-collect"));
-            procs.push_back(simulator.spawnOn(part,
-                                              sortPhase2Worker(d,
-                                                               data),
-                                              "sort-merge"));
+            procs.push_back(simulator.spawn(sortPhase2Worker(d, data),
+                                            "sort-merge"));
         }
-        procs.push_back(simulator.spawnOn(fePart, sortCoordinator(),
-                                          "sort-coordinator"));
+        procs.push_back(
+            simulator.spawn(sortCoordinator(), "sort-coordinator"));
         break;
       case TaskKind::Join:
         for (int d = 0; d < n; ++d) {
             procs.push_back(
-                simulator.spawnOn(machine.drivePartition(d),
-                                  joinWorker(d, data),
-                                  "join-worker"));
+                simulator.spawn(joinWorker(d, data), "join-worker"));
         }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
       case TaskKind::Datacube:
         for (int d = 0; d < n; ++d) {
             procs.push_back(
-                simulator.spawnOn(machine.drivePartition(d),
-                                  dcubeWorker(d, data),
-                                  "dcube-worker"));
+                simulator.spawn(dcubeWorker(d, data), "dcube-worker"));
         }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
       case TaskKind::Dmine:
         for (int d = 0; d < n; ++d) {
             procs.push_back(
-                simulator.spawnOn(machine.drivePartition(d),
-                                  dmineWorker(d, data),
-                                  "dmine-worker"));
+                simulator.spawn(dmineWorker(d, data), "dmine-worker"));
         }
-        procs.push_back(simulator.spawnOn(fePart, dmineFrontend(data),
-                                          "dmine-fe"));
+        procs.push_back(
+            simulator.spawn(dmineFrontend(data), "dmine-fe"));
         break;
       case TaskKind::Mview:
         for (int d = 0; d < n; ++d) {
             procs.push_back(
-                simulator.spawnOn(machine.drivePartition(d),
-                                  mviewWorker(d, data),
-                                  "mview-worker"));
+                simulator.spawn(mviewWorker(d, data), "mview-worker"));
         }
-        procs.push_back(simulator.spawnOn(fePart, frontendConsumer(0),
-                                          "fe"));
+        procs.push_back(simulator.spawn(frontendConsumer(0), "fe"));
         break;
     }
     return procs;
@@ -971,7 +942,7 @@ void
 AdTaskRunner::foldShards()
 {
     // Drive order is fixed, so the floating-point bucket sums are
-    // identical no matter which partitions the shards were filled on.
+    // summed in one order every run.
     for (const TaskResult &shard : shards) {
         result.buckets.merge(shard.buckets);
         result.outputBytes += shard.outputBytes;

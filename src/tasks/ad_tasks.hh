@@ -124,20 +124,16 @@ class AdTaskRunner
     sim::Coro<void> dmineFrontend(const workload::DatasetSpec &data);
     /** @} */
 
-    /** @name Partitioned sort coordination (DESIGN.md §14)
+    /** @name Sort coordination (DESIGN.md §14)
      *
-     * The two-phase sort can no longer be driven by a coordinator
-     * that spawns and joins workers across the device boundary
-     * (cross-partition joins are unsupported). Instead launch()
-     * pre-spawns every phase's workers on their drive partitions —
-     * phase 2 parked on a per-drive go trigger — and the front-end
-     * coordinator counts keyed done-notifications and broadcasts the
-     * phase-2 go, one crossLatency() hop each way, identically under
-     * serial and parallel execution.
+     * launch() pre-spawns every phase's workers — phase 2 parked on
+     * a per-drive go trigger — and the front-end coordinator counts
+     * keyed done-notifications and broadcasts the phase-2 go, one
+     * crossLatency() hop each way.
      */
     /** @{ */
 
-    /** Post a keyed done-notification from drive @p d's partition. */
+    /** Post a keyed done-notification from drive @p d. */
     void notifySortDone(int d, int *remaining, sim::Trigger *done);
 
     /** Run @p body, then notify the front-end coordinator. */
@@ -215,18 +211,16 @@ class AdTaskRunner
     TaskResult result;
 
     /**
-     * Per-drive result shards: a worker homed on drive d's partition
-     * writes only shards[d]; run()/runConcurrent fold them into
-     * `result` in drive order after the run, so the floating-point
-     * bucket sums are identical under every HOWSIM_PDES setting.
-     * Front-end writers touch `result` directly — the front-end
-     * domain is always partition 0, the calling thread.
+     * Per-drive result shards: drive d's workers write only
+     * shards[d]; run()/runConcurrent fold them into `result` in drive
+     * order after the run, so the floating-point bucket sums have one
+     * fixed order. Front-end writers touch `result` directly.
      */
     std::vector<TaskResult> shards;
 
     // Keyed coordination streams, allocated in fixed order at
-    // construction: doneKeys[d] is advanced only on drive d's
-    // partition, goKeys only on the front-end.
+    // construction: doneKeys[d] keys drive d's notifications, goKeys
+    // the front-end's.
     std::vector<sim::KeyStream> doneKeys;
     sim::KeyStream goKeys;
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "fault/detector.hh"
-#include "sim/partition.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
@@ -40,13 +39,6 @@ struct TaskResult
      * a fault-free run delivers.
      */
     std::uint64_t outputBytes = 0;
-
-    /**
-     * Executive counters of the run (windows, mailbox traffic,
-     * barrier stalls). Host-side accounting only — never part of a
-     * bit-identity comparison; filled by core::runExperiment.
-     */
-    sim::PdesStats pdes;
 
     /**
      * Failure-detector and rebuild accounting when a fault plan is

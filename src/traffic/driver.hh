@@ -11,7 +11,7 @@
  * task-runner instance (stream qid + 1) on the shared machine. All
  * randomness comes from the fault layer's stateless counter hash,
  * so the resulting timeline is bit-identical across the scheduler,
- * transfer-engine, worker-thread, and PDES host-side choices.
+ * transfer-engine and worker-thread host-side choices.
  */
 
 #ifndef HOWSIM_TRAFFIC_DRIVER_HH
@@ -90,8 +90,8 @@ struct TrafficResult
      * Order-sensitive digest of every completion record
      * (qid, class, completion instant, latency). Two runs with the
      * same plan and machine produce the same fingerprint regardless
-     * of HOWSIM_SCHED / HOWSIM_XFER / HOWSIM_JOBS / HOWSIM_PDES —
-     * the determinism contract CI asserts.
+     * of HOWSIM_SCHED / HOWSIM_XFER / HOWSIM_JOBS — the determinism
+     * contract CI asserts.
      */
     std::uint64_t fingerprint = 0;
 };

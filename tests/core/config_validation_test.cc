@@ -71,6 +71,14 @@ TEST(ConfigValidationDeathTest, NonPositiveFrontendClock)
                 testing::ExitedWithCode(1), "adFrontendMhz");
 }
 
+TEST(ConfigValidationDeathTest, PartitionCountOtherThanOne)
+{
+    auto config = validConfig();
+    config.pdes = 2;
+    EXPECT_EXIT(core::runExperiment(config),
+                testing::ExitedWithCode(1), "only accepted value is 1");
+}
+
 TEST(ConfigValidationDeathTest, StopVictimOutOfRange)
 {
     auto config = validConfig();

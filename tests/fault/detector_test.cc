@@ -65,14 +65,13 @@ TEST(Detector, DetectionLatencyIsEmergentNotConfigured)
               fast.availability.detectLatencyMax);
 }
 
-TEST(Detector, TimelineBitIdenticalAcrossSchedXferPdes)
+TEST(Detector, TimelineBitIdenticalAcrossSchedXfer)
 {
     // The probe schedule draws from the stateless counter hash and
     // every probe rides the machine's deterministic interconnect, so
     // a faulted-with-rejoin run must produce ONE timeline — elapsed,
     // output, detection latency, rebuilt bytes — across the whole
-    // host-knob matrix, including PDES domain splits (carve-out
-    // lifted: fail-stop runs now partition like any other run).
+    // host-knob matrix.
     auto config = baseConfig(Arch::ActiveDisk, TaskKind::Select, 4);
     config.faults = "seed=5,stop.disk=1+2,stop.at.ms=40,"
                     "stop.restart.ms=120,hb.period.ms=2,"
@@ -82,12 +81,9 @@ TEST(Detector, TimelineBitIdenticalAcrossSchedXferPdes)
          {sim::SchedPolicy::Ladder, sim::SchedPolicy::Heap}) {
         for (auto xfer :
              {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-            for (int pdes : {1, 4}) {
-                config.sched = sched;
-                config.xfer = xfer;
-                config.pdes = pdes;
-                results.push_back(core::runExperiment(config));
-            }
+            config.sched = sched;
+            config.xfer = xfer;
+            results.push_back(core::runExperiment(config));
         }
     }
     ASSERT_EQ(results[0].availability.deaths, 2u);

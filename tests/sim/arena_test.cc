@@ -2,7 +2,7 @@
  * @file
  * Arena allocator unit tests: size-class recycling, alignment,
  * oversize fallback, reset semantics, move-only handle behavior,
- * cross-thread release, and blocks outliving their Arena handle —
+ * and blocks outliving their Arena handle —
  * the exact lifetime the simulator relies on when a ProcessRef (and
  * its coroutine frame) is held past the Simulator's destruction.
  */
@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -170,25 +169,6 @@ TEST(Arena, ScopeInstallsAndNests)
         EXPECT_EQ(outer.stats().allocs, 1u);
     }
     ASSERT_EQ(Arena::current(), nullptr);
-}
-
-TEST(Arena, CrossThreadReleaseRecycles)
-{
-    Arena arena;
-    constexpr int rounds = 200;
-    for (int r = 0; r < rounds; ++r) {
-        void *p = arena.allocate(256);
-        std::thread releaser([p] { Arena::release(p); });
-        releaser.join();
-        // The join orders the release before this allocate, so the
-        // free list must serve the recycled block.
-        void *q = arena.allocate(256);
-        EXPECT_EQ(q, p);
-        Arena::release(q);
-    }
-    EXPECT_GE(arena.stats().freelistHits,
-              static_cast<std::uint64_t>(rounds));
-    EXPECT_EQ(arena.stats().live, 0u);
 }
 
 TEST(Arena, BlocksOutliveTheArenaHandle)

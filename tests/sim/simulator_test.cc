@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -316,4 +317,64 @@ TEST(Simulator, ManyProcessesScale)
         sim.spawn(work(static_cast<Tick>(i % 97)));
     sim.run();
     EXPECT_EQ(completed, n);
+}
+
+TEST(Simulator, OrdinaryEventsDrainBeforeKeyedAtOneTick)
+{
+    for (SchedPolicy policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
+        Simulator sim(policy);
+        KeyStream keys = sim.allocKeyStream();
+        std::vector<int> order;
+        sim.postKeyed(10, keys.next(), [&] { order.push_back(10); });
+        sim.scheduleAt(10, [&] { order.push_back(1); });
+        sim.postKeyed(10, keys.next(), [&] { order.push_back(11); });
+        sim.scheduleAt(10, [&] { order.push_back(2); });
+        sim.scheduleAt(12, [&] { order.push_back(3); });
+        sim.postKeyed(5, keys.next(), [&] { order.push_back(0); });
+        sim.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 3}))
+            << schedPolicyName(policy);
+    }
+}
+
+TEST(Simulator, KeyedEventsDrainByStreamThenCounter)
+{
+    for (SchedPolicy policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
+        Simulator sim(policy);
+        KeyStream first = sim.allocKeyStream();
+        KeyStream second = sim.allocKeyStream();
+        std::uint64_t a0 = first.next();
+        std::uint64_t a1 = first.next();
+        std::uint64_t b0 = second.next();
+        std::uint64_t b1 = second.next();
+        std::vector<int> order;
+        // Posted in neither stream nor counter order.
+        sim.postKeyed(7, b1, [&] { order.push_back(3); });
+        sim.postKeyed(7, a1, [&] { order.push_back(1); });
+        sim.postKeyed(7, b0, [&] { order.push_back(2); });
+        sim.postKeyed(7, a0, [&] { order.push_back(0); });
+        sim.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}))
+            << schedPolicyName(policy);
+    }
+}
+
+TEST(SimulatorDeathTest, PostKeyedRejectsKeyOutsideBand)
+{
+    Simulator sim;
+    EXPECT_DEATH(sim.postKeyed(10, 5, [] {}), "outside the keyed band");
+}
+
+TEST(SimulatorDeathTest, PostKeyedRejectsPastTick)
+{
+    Simulator sim;
+    KeyStream keys = sim.allocKeyStream();
+    sim.scheduleAt(20, [] {});
+    sim.run();
+    EXPECT_DEATH(sim.postKeyed(10, keys.next(), [] {}), "in the past");
+}
+
+TEST(SimulatorDeathTest, AcceptsOnlyOnePartition)
+{
+    EXPECT_DEATH(Simulator(defaultSchedPolicy(), 2), "accepts only 1");
 }

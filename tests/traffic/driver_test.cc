@@ -1,8 +1,8 @@
 /**
  * @file Traffic driver behavior: determinism of the timeline across
- * every host-side knob (scheduler, transfer engine, PDES
- * partitioning), open- and closed-loop smoke on all three
- * architectures, admission control, and faulted-plan stability.
+ * every host-side knob (scheduler, transfer engine), open- and
+ * closed-loop smoke on all three architectures, admission control,
+ * and faulted-plan stability.
  */
 
 #include <gtest/gtest.h>
@@ -67,7 +67,7 @@ TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
     TrafficResult ref = traffic::runTraffic(base);
     ASSERT_GT(ref.completed, 0u);
 
-    for (int variant = 0; variant < 4; ++variant) {
+    for (int variant = 0; variant < 3; ++variant) {
         ExperimentConfig config = base;
         switch (variant) {
           case 0:
@@ -78,9 +78,6 @@ TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
             break;
           case 2:
             config.xfer = bus::XferPolicy::Calendar;
-            break;
-          case 3:
-            config.pdes = 2;
             break;
         }
         TrafficResult got = traffic::runTraffic(config);
