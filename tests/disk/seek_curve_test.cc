@@ -9,6 +9,20 @@
 using namespace howsim::disk;
 using howsim::sim::toMilliseconds;
 
+namespace howsim::disk
+{
+
+// Without a printer gtest dumps the spec's raw bytes, heap pointers
+// included, into the test names ctest discovers, so the names would
+// change from build to build. Print the make and model only.
+void
+PrintTo(const DiskSpec &spec, std::ostream *os)
+{
+    *os << spec.name.substr(0, spec.name.find(" ("));
+}
+
+} // namespace howsim::disk
+
 class SeekCurveTest : public ::testing::TestWithParam<DiskSpec>
 {
 };
