@@ -11,7 +11,7 @@
  * producing the same grants at the same (tick, seq) positions (see
  * DESIGN.md §12 for the equivalence argument). The HOWSIM_XFER
  * environment variable ("calendar" | "coro") picks the default for
- * newly built buses, mirroring HOWSIM_SCHED for the event scheduler.
+ * newly built buses.
  */
 
 #ifndef HOWSIM_BUS_XFER_HH

@@ -9,7 +9,6 @@
 #include "bus/xfer.hh"
 #include "core/runner.hh"
 #include "sim/logging.hh"
-#include "sim/sched.hh"
 #include "sim/simulator.hh"
 
 namespace howsim::core
@@ -113,11 +112,9 @@ BenchHarness::~BenchHarness()
     // parallel entry: a jobs > 1 run on a 1-CPU host measures
     // overhead, not speedup (docs/perf.md).
     unsigned hw = std::thread::hardware_concurrency();
-    body += strprintf(",\n    \"jobs\": %d,\n    \"sched\": \"%s\""
-                      ",\n    \"xfer\": \"%s\""
+    body += strprintf(",\n    \"jobs\": %d,\n    \"xfer\": \"%s\""
                       ",\n    \"hardware_concurrency\": %u",
                       defaultJobs(),
-                      sim::schedPolicyName(sim::defaultSchedPolicy()),
                       bus::xferPolicyName(bus::defaultXferPolicy()),
                       hw > 0 ? hw : 1);
     for (const auto &[key, value] : extras)

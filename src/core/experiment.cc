@@ -238,7 +238,7 @@ runExperiment(const ExperimentConfig &config)
     // Installed after the obs session so the scope can register its
     // fault-class timeline probes; inactive plans install nothing.
     fault::Scope faultScope(plan);
-    sim::Simulator simulator(config.sched);
+    sim::Simulator simulator;
     switch (config.arch) {
       case Arch::ActiveDisk: {
         diskos::AdParams params;

@@ -77,17 +77,13 @@ struct ExperimentConfig
 
     /** @} */
 
-    /**
-     * Event-scheduler policy for the experiment's Simulator. Results
-     * are bit-identical under either policy (it only changes host
-     * time); defaults to the HOWSIM_SCHED environment selection.
-     */
+    /** Unused by the simulator; exists only for perfbench/. */
     sim::SchedPolicy sched = sim::defaultSchedPolicy();
 
     /**
      * Transfer engine for every interconnect in the machine (the
      * cluster fabric and node buses, the Active Disk loop, the SMP
-     * buses). Like @ref sched this is a host-side choice only:
+     * buses). This is a host-side choice only:
      * simulated results are bit-identical under either engine
      * (DESIGN.md §12). Defaults to the HOWSIM_XFER selection.
      */

@@ -14,7 +14,8 @@ Disk::Disk(sim::Simulator &s, DiskSpec spec, SchedPolicy pol,
            std::string name)
     : simulator(s), geom(std::move(spec)),
       diskSpec(&geom.diskSpec()),
-      seeks(geom.diskSpec(), geom.diskSpec().totalCylinders()),
+      seeks(SeekCurve::shared(geom.diskSpec(),
+                              geom.diskSpec().totalCylinders())),
       policy(pol), diskName(std::move(name))
 {
     if (obs::Session *session = obs::session()) {
@@ -219,7 +220,7 @@ Disk::computeTiming(const DiskRequest &req)
                              ? start.cylinder - headCylinder
                              : headCylinder - start.cylinder;
         if (dist > 0) {
-            d.seekTicks = seeks.seekTicks(dist, req.write);
+            d.seekTicks = seeks->seekTicks(dist, req.write);
             ++accumulated.seeks;
             if (obsSeeks)
                 obsSeeks->add();
@@ -337,7 +338,7 @@ Disk::injectFaults(AccessDetail &d, const DiskRequest &req)
         std::uint32_t stroke = diskSpec->totalCylinders() > 1
                                ? diskSpec->totalCylinders() - 1
                                : 1;
-        d.faultTicks += seeks.seekTicks(stroke, req.write)
+        d.faultTicks += seeks->seekTicks(stroke, req.write)
                         + geom.revolutionTicks();
         ++ctr.diskRemaps;
         if (obsFaultRemaps)

@@ -140,6 +140,7 @@ class Disk
     sim::Coro<AccessDetail> access(DiskRequest req);
 
     const Geometry &geometry() const { return geom; }
+    const SeekCurve &seekCurve() const { return *seeks; }
     const DiskSpec &spec() const { return *diskSpec; }
     const DiskStats &stats() const { return accumulated; }
     const std::string &name() const { return diskName; }
@@ -180,7 +181,7 @@ class Disk
     sim::Simulator &simulator;
     Geometry geom;
     const DiskSpec *diskSpec; // points into geom's owned copy
-    SeekCurve seeks;
+    std::shared_ptr<const SeekCurve> seeks;
     SchedPolicy policy;
     std::string diskName;
 

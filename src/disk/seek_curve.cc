@@ -1,6 +1,10 @@
 #include "disk/seek_curve.hh"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "sim/logging.hh"
 
@@ -58,6 +62,33 @@ SeekCurve::SeekCurve(const DiskSpec &spec, std::uint32_t cylinders)
         readTicks[d] = sim::fromSeconds(ms * 1e-3);
         writeTicks[d] = sim::fromSeconds((ms + writePenaltyMs) * 1e-3);
     }
+}
+
+std::shared_ptr<const SeekCurve>
+SeekCurve::shared(const DiskSpec &spec, std::uint32_t cylinders)
+{
+    // Keyed on the exact bits of everything the tables depend on.
+    // Entries are weak, so a table lives only as long as its drives;
+    // expired ones are swept on each miss.
+    using Key = std::array<std::uint64_t, 5>;
+    static std::mutex mutex;
+    static std::map<Key, std::weak_ptr<const SeekCurve>> memo;
+    const Key key{std::bit_cast<std::uint64_t>(spec.trackToTrackMs),
+                  std::bit_cast<std::uint64_t>(spec.avgSeekMs),
+                  std::bit_cast<std::uint64_t>(spec.maxSeekMs),
+                  std::bit_cast<std::uint64_t>(spec.writeSeekPenaltyMs),
+                  cylinders};
+    std::lock_guard<std::mutex> lock(mutex);
+    if (auto it = memo.find(key); it != memo.end()) {
+        if (auto curve = it->second.lock())
+            return curve;
+    }
+    std::erase_if(memo, [](const auto &entry) {
+        return entry.second.expired();
+    });
+    auto curve = std::make_shared<const SeekCurve>(spec, cylinders);
+    memo[key] = curve;
+    return curve;
 }
 
 double

@@ -15,6 +15,7 @@
 #define HOWSIM_DISK_SEEK_CURVE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "disk/disk_spec.hh"
@@ -31,6 +32,15 @@ class SeekCurve
      * spec's track-to-track, average and maximum seek times.
      */
     SeekCurve(const DiskSpec &spec, std::uint32_t cylinders);
+
+    /**
+     * The curve for @p spec and @p cylinders, shared with every other
+     * caller holding one for the same seek figures (track-to-track,
+     * average, maximum, write penalty) and cylinder count, so drives
+     * of one spec keep a single table between them. Thread-safe.
+     */
+    static std::shared_ptr<const SeekCurve>
+    shared(const DiskSpec &spec, std::uint32_t cylinders);
 
     /**
      * Seek time over @p distance cylinders, in ticks. Served from a

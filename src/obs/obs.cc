@@ -11,7 +11,7 @@ namespace howsim::obs
 
 namespace detail_tls
 {
-thread_local Session *tlsSession = nullptr;
+constinit thread_local Session *tlsSession = nullptr;
 } // namespace detail_tls
 
 Session::Session(std::string label, Options options)

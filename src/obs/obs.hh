@@ -130,7 +130,15 @@ class Session
 
 namespace detail_tls
 {
-extern thread_local Session *tlsSession;
+/**
+ * constinit tells every includer the slot needs no dynamic
+ * initialization, so reads are a plain TLS load rather than a call
+ * through the compiler's TLS wrapper function. Without it, GCC 12's
+ * UBSan null check on the wrapper path reads flags that the linker's
+ * TLS relaxation no longer sets, and reports a null Session* that
+ * was never loaded.
+ */
+extern constinit thread_local Session *tlsSession;
 } // namespace detail_tls
 
 /** True unless built with -DHOWSIM_OBS_COMPILED=0. */

@@ -1,36 +1,46 @@
 /**
  * @file
- * The discrete-event queue at the heart of the simulator — a thin
- * facade over the pluggable scheduler policies.
+ * The discrete-event queue at the heart of the simulator.
  *
- * Events are (tick, sequence, action) triples; the sequence number
- * breaks same-tick ties so that events scheduled for the same tick
- * execute in scheduling order, which keeps simulations
- * deterministic. Two interchangeable containers implement the
- * ordering:
+ * Events are (tick, sequence, action) triples drained in strict
+ * (tick, seq) order. Ordinary schedules draw fresh sequence numbers
+ * from the queue's counter, so events scheduled for one tick run in
+ * scheduling order and every simulation is deterministic; keyed
+ * events (scheduleWithSeq, DESIGN.md §14) bring their own from the
+ * kKeyedSeqBand.
  *
- *  - EventHeap (event_heap.hh) — the reference binary heap,
- *    O(log n) per operation;
- *  - EventLadder (event_ladder.hh) — a ladder queue, amortized O(1)
- *    per operation and the default.
+ * The queue has two exact parts:
  *
- * Both drain in strict (tick, seq) order, so which policy runs is
- * invisible to the simulation: every figure and table is
- * bit-identical under either. The policy is chosen per queue at
- * construction — by the HOWSIM_SCHED environment variable for the
- * default constructor — and dispatch is a single predictable branch,
- * not a virtual call, so the hot path stays inlineable.
+ *  - the *lane*, a FIFO of ordinary events scheduled at the tick
+ *    being drained (joiner wakeups, process starts, zero-delay
+ *    hand-offs: close to half of all events). Appending and popping
+ *    are O(1) and nothing sifts.
+ *  - a binary min-heap of trivially copyable 24-byte (tick, seq,
+ *    slot) keys. The InlineAction payloads live in a slab indexed by
+ *    slot, with a free list, so a sift moves 24 bytes and each
+ *    payload moves once in and once out.
+ *
+ * Every lane entry sits at laneTick and the lane receives fresh seqs
+ * in increasing order, so the lane is itself sorted on (tick, seq).
+ * pop() takes the lane head unless the heap top is lower on the full
+ * key, which makes drain order exactly (tick, seq) whatever is
+ * scheduled when, keyed events at the drain tick and schedules below
+ * it included. tests/sim/sched_conformance_test.cc drives the queue
+ * against a plain binary heap to check this.
  */
 
 #ifndef HOWSIM_SIM_EVENT_QUEUE_HH
 #define HOWSIM_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/action.hh"
-#include "sim/event_heap.hh"
-#include "sim/event_ladder.hh"
 #include "sim/sched.hh"
 #include "sim/ticks.hh"
 
@@ -43,20 +53,15 @@ class EventQueue
   public:
     using Action = InlineAction;
 
-    /** Use the HOWSIM_SCHED policy (ladder unless overridden). */
-    EventQueue() : EventQueue(defaultSchedPolicy()) {}
-
-    explicit EventQueue(SchedPolicy policy) : pol(policy) {}
-
     /** Schedule @p action to run at absolute time @p when. */
     void
     schedule(Tick when, Action action)
     {
-        SchedEntry entry{when, nextSeq++, std::move(action)};
-        if (pol == SchedPolicy::Ladder)
-            ladder.push(std::move(entry));
+        std::uint64_t seq = nextSeq++;
+        if (when == laneTick)
+            lane.emplace_back(seq, std::move(action));
         else
-            heap.push(std::move(entry));
+            push(when, seq, std::move(action));
     }
 
     /**
@@ -82,41 +87,23 @@ class EventQueue
     void
     scheduleWithSeq(Tick when, std::uint64_t seq, Action action)
     {
-        SchedEntry entry{when, seq, std::move(action)};
-        if (pol == SchedPolicy::Ladder) {
-            ladder.markExplicitSeqs();
-            ladder.push(std::move(entry));
-        } else {
-            heap.push(std::move(entry));
-        }
+        push(when, seq, std::move(action));
     }
 
     /** True when no events remain. */
-    bool
-    empty() const
-    {
-        return pol == SchedPolicy::Ladder ? ladder.empty()
-                                          : heap.empty();
-    }
+    bool empty() const { return laneHead == lane.size() && keys.empty(); }
 
     /** Number of pending events. */
-    std::size_t
-    size() const
-    {
-        return pol == SchedPolicy::Ladder ? ladder.size()
-                                          : heap.size();
-    }
+    std::size_t size() const { return lane.size() - laneHead + keys.size(); }
 
-    /**
-     * Time of the earliest pending event. The ladder policy may
-     * promote a bucket into its drain window here, hence not const.
-     * @pre !empty().
-     */
+    /** Time of the earliest pending event. @pre !empty(). */
     Tick
-    nextTick()
+    nextTick() const
     {
-        return pol == SchedPolicy::Ladder ? ladder.minTick()
-                                          : heap.minTick();
+        if (laneHead == lane.size()
+            || (!keys.empty() && keys.front().when < laneTick))
+            return keys.front().when;
+        return laneTick;
     }
 
     /**
@@ -126,40 +113,98 @@ class EventQueue
     Action
     pop()
     {
-        return pol == SchedPolicy::Ladder ? ladder.pop() : heap.pop();
+        if (laneHead != lane.size() && !heapTopFirst()) {
+            Action action = std::move(lane[laneHead].action);
+            if (++laneHead == lane.size()) {
+                lane.clear();
+                laneHead = 0;
+            }
+            return action;
+        }
+        std::pop_heap(keys.begin(), keys.end(), KeyAfter{});
+        Key key = keys.back();
+        keys.pop_back();
+        // An empty lane follows the drain: later schedules at this
+        // tick append to it instead of sifting through the heap.
+        if (laneHead == lane.size())
+            laneTick = key.when;
+        freeSlots.push_back(key.slot);
+        return std::move(slab[key.slot]);
     }
 
     /** Pre-size the queue for @p n pending events. */
     void
     reserve(std::size_t n)
     {
-        if (pol == SchedPolicy::Ladder)
-            ladder.reserve(n);
-        else
-            heap.reserve(n);
+        keys.reserve(n);
+        slab.reserve(n);
+        freeSlots.reserve(n);
+        lane.reserve(n);
     }
 
     /** Total number of events ever scheduled (for stats/tests). */
     std::uint64_t scheduledCount() const { return nextSeq; }
 
-    /** The scheduler policy this queue was built with. */
-    SchedPolicy policy() const { return pol; }
-
-    /**
-     * Ladder tier occupancy, for obs probes and tests. All zeros
-     * under the heap policy.
-     */
-    EventLadder::Occupancy
-    ladderOccupancy() const
+  private:
+    /** Heap key; the payload waits in slab[slot]. */
+    struct Key
     {
-        return pol == SchedPolicy::Ladder ? ladder.occupancy()
-                                          : EventLadder::Occupancy{};
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
+    /** Min-order comparator for the std:: heap algorithms. */
+    struct KeyAfter
+    {
+        bool
+        operator()(const Key &a, const Key &b) const noexcept
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    struct LaneEntry
+    {
+        std::uint64_t seq;
+        Action action;
+    };
+
+    /** Does the heap top precede the lane head? @pre lane nonempty. */
+    bool
+    heapTopFirst() const
+    {
+        if (keys.empty())
+            return false;
+        const Key &top = keys.front();
+        return top.when < laneTick
+               || (top.when == laneTick && top.seq < lane[laneHead].seq);
     }
 
-  private:
-    SchedPolicy pol;
-    EventHeap heap;
-    EventLadder ladder;
+    void
+    push(Tick when, std::uint64_t seq, Action action)
+    {
+        auto slot = static_cast<std::uint32_t>(slab.size());
+        if (freeSlots.empty()) {
+            slab.push_back(std::move(action));
+        } else {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+            slab[slot] = std::move(action);
+        }
+        keys.push_back(Key{when, seq, slot});
+        std::push_heap(keys.begin(), keys.end(), KeyAfter{});
+    }
+
+    std::vector<Key> keys; //!< min-heap (KeyAfter order)
+    std::vector<Action> slab;
+    std::vector<std::uint32_t> freeSlots;
+    std::vector<LaneEntry> lane; //!< served from laneHead onwards
+    std::size_t laneHead = 0;
+    Tick laneTick = 0; //!< the tick of every lane entry
     std::uint64_t nextSeq = 0;
 };
 

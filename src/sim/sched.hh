@@ -1,15 +1,7 @@
 /**
  * @file
- * Scheduler policy selection and the entry type shared by the
- * pluggable event-queue implementations.
- *
- * The simulation kernel ships two interchangeable scheduler policies
- * (see event_heap.hh and event_ladder.hh). Both drain events in
- * strict (tick, sequence) order, so a simulation's execution — and
- * therefore every table/figure output — is bit-identical under
- * either; they differ only in host-time cost per operation. The
- * HOWSIM_SCHED environment variable ("ladder" | "heap") picks the
- * default policy for newly built queues.
+ * Keyed sequence numbers for the event queue (DESIGN.md §14), plus
+ * the scheduler-policy names perfbench/ still compiles against.
  */
 
 #ifndef HOWSIM_SIM_SCHED_HH
@@ -17,44 +9,28 @@
 
 #include <cstdint>
 
-#include "sim/action.hh"
-#include "sim/ticks.hh"
-
 namespace howsim::sim
 {
 
-/** The interchangeable event-queue implementations. */
+/** The event queue's one implementation; exists only for perfbench/. */
 enum class SchedPolicy
 {
-    /** Single binary heap; O(log n) schedule/pop. The reference. */
-    Heap,
-    /** Ladder queue; amortized O(1) schedule/pop. The default. */
-    Ladder,
+    LaneHeap,
 };
 
-/** Short name ("heap", "ladder"). */
-const char *schedPolicyName(SchedPolicy policy);
-
-/**
- * The policy named by HOWSIM_SCHED, or SchedPolicy::Ladder when the
- * variable is unset. Unrecognised values warn once and fall back to
- * the default. Read per call (not cached) so tests can switch the
- * environment between simulator constructions.
- */
-SchedPolicy defaultSchedPolicy();
-
-/**
- * One pending event. The sequence number is a per-queue schedule
- * counter that breaks same-tick ties, keeping simulations
- * deterministic regardless of the underlying container, or a key
- * from a KeyStream (below) for a keyed event.
- */
-struct SchedEntry
+/** Short name of @p policy; exists only for perfbench/. */
+constexpr const char *
+schedPolicyName(SchedPolicy)
 {
-    Tick when;
-    std::uint64_t seq;
-    InlineAction action;
-};
+    return "lane-heap";
+}
+
+/** The only policy; exists only for perfbench/. */
+constexpr SchedPolicy
+defaultSchedPolicy()
+{
+    return SchedPolicy::LaneHeap;
+}
 
 /**
  * Sequence-number band for *keyed* events (DESIGN.md §14). Ordinary
@@ -93,18 +69,6 @@ class KeyStream
   private:
     std::uint64_t base = kKeyedSeqBand;
     std::uint64_t counter = 0;
-};
-
-/** Min-order comparator for the std:: heap algorithms. */
-struct SchedAfter
-{
-    bool
-    operator()(const SchedEntry &a, const SchedEntry &b) const noexcept
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
 };
 
 } // namespace howsim::sim

@@ -28,8 +28,7 @@ totalEventsExecuted()
     return allSimulatorEvents.load(std::memory_order_relaxed);
 }
 
-Simulator::Simulator(SchedPolicy sched, int partitions)
-    : Simulator(sched)
+Simulator::Simulator(SchedPolicy, int partitions) : Simulator()
 {
     if (partitions != 1) {
         panic("Simulator: %d partitions requested; the executive is "
@@ -38,51 +37,17 @@ Simulator::Simulator(SchedPolicy sched, int partitions)
     }
 }
 
-Simulator::Simulator(SchedPolicy sched) : queue(sched)
+Simulator::Simulator()
 {
     previous = currentSim;
     currentSim = this;
     obsSession = obs::session();
     if (obsSession) {
         obsPrevClock = obsSession->bindClock(&currentTick);
-        // Scheduler occupancy probes: overall depth, plus the ladder
-        // tiers (drain window / rung count / bucketed events /
-        // far-future overflow) when that policy is active.
-        obs::Timeline &timeline = obsSession->timeline();
-        timeline.probe(
+        obsSession->timeline().probe(
             "sim.queue_depth",
             [this] { return static_cast<double>(queue.size()); },
             this);
-        if (queue.policy() == SchedPolicy::Ladder) {
-            timeline.probe(
-                "sim.sched.bottom",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().bottom);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.rungs",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().rungs);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.rung_events",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().rungEvents);
-                },
-                this);
-            timeline.probe(
-                "sim.sched.top",
-                [this] {
-                    return static_cast<double>(
-                        queue.ladderOccupancy().top);
-                },
-                this);
-        }
     }
 }
 
@@ -232,9 +197,6 @@ Simulator::run(Tick until)
         obsSession->metrics()
             .gauge("sim.final_tick")
             .set(static_cast<double>(currentTick));
-        obsSession->metrics()
-            .gauge("sim.sched_policy")
-            .set(queue.policy() == SchedPolicy::Ladder ? 1.0 : 0.0);
     }
     if (until != maxTick && until > currentTick)
         currentTick = until;

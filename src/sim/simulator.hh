@@ -50,13 +50,9 @@ using ProcessRef = std::shared_ptr<Process>;
 class Simulator
 {
   public:
-    /** Use the HOWSIM_SCHED policy. */
-    Simulator() : Simulator(defaultSchedPolicy()) {}
+    Simulator();
 
-    /** Explicit scheduler policy. */
-    explicit Simulator(SchedPolicy sched);
-
-    /** Kept for perfbench/'s calls; panics unless @p partitions is 1. */
+    /** Exists only for perfbench/; panics unless @p partitions is 1. */
     Simulator(SchedPolicy sched, int partitions);
 
     ~Simulator();
@@ -126,9 +122,6 @@ class Simulator
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed; }
-
-    /** The event queue's scheduler policy. */
-    SchedPolicy schedPolicy() const { return queue.policy(); }
 
     /** Number of processes ever spawned. */
     std::size_t processCount() const { return processes.size(); }

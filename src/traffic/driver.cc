@@ -375,8 +375,8 @@ class Driver
         // Client-visible retry, exactly once: only queries whose
         // first attempt overlapped a death instant re-execute (on a
         // disjoint stream band). Aliveness is plan arithmetic, so
-        // which queries retry is identical across the sched x xfer x
-        // jobs matrix. The takeover redirect already keeps a
+        // which queries retry is identical across the xfer x jobs
+        // matrix. The takeover redirect already keeps a
         // degraded attempt's output byte-equal — the assert below is
         // the availability contract, checked on every retry.
         if (!stopSched.empty()
@@ -541,7 +541,7 @@ runTraffic(const core::ExperimentConfig &config,
               : fault::StopSchedule{};
     auto obsSession = obs::Session::fromEnv(trafficLabel(config));
     fault::Scope faultScope(fplan);
-    sim::Simulator simulator(config.sched);
+    sim::Simulator simulator;
     switch (config.arch) {
       case core::Arch::ActiveDisk: {
         diskos::AdParams params;

@@ -20,8 +20,7 @@
  *
  * Transfers are pinned to the calendar engine, whose event count the
  * table records (the coroutine engine executes the same transfers
- * with more events); the scheduler policy follows HOWSIM_SCHED, which
- * by contract changes no result.
+ * with more events).
  */
 
 #include <gtest/gtest.h>

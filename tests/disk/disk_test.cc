@@ -258,3 +258,22 @@ TEST(Disk, DetailComponentsSumToService)
     EXPECT_GT(got.mediaTicks, 0u);
     EXPECT_EQ(got.totalTicks(), got.queueTicks + got.serviceTicks());
 }
+
+TEST(Disk, DrivesOfOneSpecShareASeekTable)
+{
+    constexpr auto fcfs = howsim::disk::SchedPolicy::Fcfs;
+    Simulator sim;
+    Disk a(sim, DiskSpec::seagateSt39102(), fcfs, "a");
+    Disk b(sim, DiskSpec::seagateSt39102(), fcfs, "b");
+    EXPECT_EQ(&a.seekCurve(), &b.seekCurve());
+
+    DiskSpec slower = DiskSpec::seagateSt39102();
+    slower.avgSeekMs += 1.0;
+    Disk c(sim, slower, fcfs, "c");
+    EXPECT_NE(&c.seekCurve(), &a.seekCurve());
+    std::uint32_t far = a.geometry().diskSpec().totalCylinders() / 3;
+    EXPECT_GT(c.seekCurve().seekTicks(far), a.seekCurve().seekTicks(far));
+
+    Disk other(sim, DiskSpec::hitachiDk3e1t91(), fcfs, "d");
+    EXPECT_NE(&other.seekCurve(), &a.seekCurve());
+}

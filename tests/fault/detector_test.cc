@@ -77,14 +77,9 @@ TEST(Detector, TimelineBitIdenticalAcrossSchedXfer)
                     "stop.restart.ms=120,hb.period.ms=2,"
                     "rebuild.rate.mbs=64";
     std::vector<tasks::TaskResult> results;
-    for (auto sched :
-         {sim::SchedPolicy::Ladder, sim::SchedPolicy::Heap}) {
-        for (auto xfer :
-             {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-            config.sched = sched;
-            config.xfer = xfer;
-            results.push_back(core::runExperiment(config));
-        }
+    for (auto xfer : {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
+        config.xfer = xfer;
+        results.push_back(core::runExperiment(config));
     }
     ASSERT_EQ(results[0].availability.deaths, 2u);
     ASSERT_EQ(results[0].availability.rejoins, 2u);

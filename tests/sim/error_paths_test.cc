@@ -56,14 +56,6 @@ TEST(ErrorPathDeathTest, LogLevelEnvGarbageIsFatal)
     unsetenv("HOWSIM_LOG_LEVEL");
 }
 
-TEST(ErrorPathDeathTest, SchedEnvGarbageIsFatal)
-{
-    setenv("HOWSIM_SCHED", "fifo", 1);
-    EXPECT_EXIT(defaultSchedPolicy(), testing::ExitedWithCode(1),
-                "HOWSIM_SCHED");
-    unsetenv("HOWSIM_SCHED");
-}
-
 TEST(ErrorPath, UncaughtChannelClosedSurfacesFromRun)
 {
     // A sender blocked on a full channel sees ChannelClosed when the

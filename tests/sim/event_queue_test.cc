@@ -160,6 +160,25 @@ TEST(EventQueue, SmallCallableSchedulesWithoutAllocation)
     EXPECT_EQ(hits, 1);
 }
 
+TEST(EventQueue, SameTickLaneReusesItsCapacity)
+{
+    // Events scheduled at the tick being drained take the FIFO lane;
+    // once reserve() has sized it, refilling it allocates nothing.
+    EventQueue q;
+    q.reserve(16);
+    int hits = 0;
+    std::size_t before = newCalls;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 16; ++i)
+            q.schedule(0, [&hits] { ++hits; });
+        while (!q.empty())
+            q.pop()();
+    }
+    std::size_t after = newCalls;
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(hits, 48);
+}
+
 TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillRuns)
 {
     static_assert(sizeof(std::array<std::uint64_t, 16>)

@@ -1,19 +1,20 @@
 /**
  * @file
- * Scheduler conformance: the ladder queue must drain in exactly the
- * order the reference binary heap does — same ticks, same same-tick
- * FIFO resolution, for any schedule/pop interleaving. The simulator
- * treats the two policies as interchangeable (results bit-identical,
- * only host time differs), and these tests are what make that claim
- * safe: a randomized differential fuzz plus directed cases for the
- * ladder's structural edges (far-future spill, rung split, refill
- * boundaries, tick saturation).
+ * Scheduler conformance: the event queue (a same-tick FIFO lane over
+ * a heap of compact keys) must drain in exactly the order a plain
+ * binary heap over (tick, seq) does — same ticks, same same-tick
+ * resolution, for any schedule/pop interleaving, keyed events and
+ * schedules below the drain tick included. A randomized differential
+ * fuzz plus directed schedules (same-tick bursts, far-future
+ * clusters, refill boundaries, tick saturation) drive both.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -49,49 +50,128 @@ struct Rng
     }
 };
 
+/**
+ * The oracle: one binary heap of whole (tick, seq, action) entries,
+ * drawing ordinary seqs from the same kind of counter EventQueue
+ * uses.
+ */
+class OracleQueue
+{
+  public:
+    void
+    schedule(Tick when, InlineAction action)
+    {
+        push(when, nextSeq++, std::move(action));
+    }
+
+    void
+    scheduleWithSeq(Tick when, std::uint64_t seq, InlineAction action)
+    {
+        push(when, seq, std::move(action));
+    }
+
+    bool empty() const { return heap.empty(); }
+
+    Tick nextTick() const { return heap.front().when; }
+
+    InlineAction
+    pop()
+    {
+        std::pop_heap(heap.begin(), heap.end(), After{});
+        InlineAction action = std::move(heap.back().action);
+        heap.pop_back();
+        return action;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        InlineAction action;
+    };
+
+    struct After
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const noexcept
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    void
+    push(Tick when, std::uint64_t seq, InlineAction action)
+    {
+        heap.push_back(Entry{when, seq, std::move(action)});
+        std::push_heap(heap.begin(), heap.end(), After{});
+    }
+
+    std::vector<Entry> heap;
+    std::uint64_t nextSeq = 0;
+};
+
 /** (tick, id) drain record; equal sequences ⇔ identical schedules. */
 using Trace = std::vector<std::pair<Tick, int>>;
 
 /**
- * Twin queues driven by one op stream. Every schedule lands in both
- * queues with the same tick and id; drains record into per-queue
- * traces that the tests compare element-wise.
+ * The queue under test and the oracle, driven by one op stream.
+ * Every schedule lands in both with the same tick, seq and id;
+ * drains record into per-queue traces that the tests compare
+ * element-wise.
  */
 struct Twins
 {
-    EventQueue heap{SchedPolicy::Heap};
-    EventQueue ladder{SchedPolicy::Ladder};
-    Trace heapTrace, ladderTrace;
+    OracleQueue oracle;
+    EventQueue queue;
+    Trace oracleTrace, queueTrace;
     int nextId = 0;
 
     void
     schedule(Tick when)
     {
         int id = nextId++;
-        heap.schedule(when, [this, when, id] {
-            heapTrace.emplace_back(when, id);
+        oracle.schedule(when, [this, when, id] {
+            oracleTrace.emplace_back(when, id);
         });
-        ladder.schedule(when, [this, when, id] {
-            ladderTrace.emplace_back(when, id);
+        queue.schedule(when, [this, when, id] {
+            queueTrace.emplace_back(when, id);
         });
     }
 
     void
+    scheduleKeyed(Tick when, std::uint64_t key)
+    {
+        int id = nextId++;
+        oracle.scheduleWithSeq(when, key, [this, when, id] {
+            oracleTrace.emplace_back(when, id);
+        });
+        queue.scheduleWithSeq(when, key, [this, when, id] {
+            queueTrace.emplace_back(when, id);
+        });
+    }
+
+    /** Pop one event from each; returns the tick it ran at. */
+    Tick
     popBoth()
     {
-        ASSERT_EQ(heap.nextTick(), ladder.nextTick());
-        heap.pop()();
-        ladder.pop()();
+        Tick when = oracle.nextTick();
+        EXPECT_EQ(queue.nextTick(), when);
+        oracle.pop()();
+        queue.pop()();
+        return when;
     }
 
     void
     drain()
     {
-        while (!heap.empty() || !ladder.empty()) {
-            ASSERT_FALSE(heap.empty());
-            ASSERT_FALSE(ladder.empty());
+        while (!oracle.empty() || !queue.empty()) {
+            ASSERT_FALSE(oracle.empty());
+            ASSERT_FALSE(queue.empty());
             popBoth();
-            if (::testing::Test::HasFatalFailure())
+            if (::testing::Test::HasFailure())
                 return;
         }
     }
@@ -99,20 +179,58 @@ struct Twins
     void
     expectTracesIdentical() const
     {
-        ASSERT_EQ(heapTrace.size(), ladderTrace.size());
-        for (std::size_t i = 0; i < heapTrace.size(); ++i) {
-            ASSERT_EQ(heapTrace[i], ladderTrace[i])
+        ASSERT_EQ(oracleTrace.size(), queueTrace.size());
+        for (std::size_t i = 0; i < oracleTrace.size(); ++i) {
+            ASSERT_EQ(oracleTrace[i], queueTrace[i])
                 << "divergence at drain position " << i;
         }
     }
 };
 
+/**
+ * Self-perpetuating handlers on queue @p q: each hop records itself
+ * and schedules its successor up to 1 ms ahead, so the successor
+ * chains depend on drain order.
+ */
+template <typename Queue>
+Trace
+chainTrace()
+{
+    Queue q;
+    Trace trace;
+    Rng rng(3);
+    int nextId = 0;
+    struct Chain
+    {
+        Queue &q;
+        Trace &trace;
+        Rng &rng;
+        int &nextId;
+
+        void
+        hop(Tick when, int id, int hopsLeft)
+        {
+            q.schedule(when, [this, when, id, hopsLeft] {
+                trace.emplace_back(when, id);
+                if (hopsLeft > 0) {
+                    hop(when + rng.below(milliseconds(1)) + 1,
+                        nextId++, hopsLeft - 1);
+                }
+            });
+        }
+    } chain{q, trace, rng, nextId};
+    for (int i = 0; i < 64; ++i)
+        chain.hop(rng.below(microseconds(10)), nextId++, 50);
+    while (!q.empty())
+        q.pop()();
+    return trace;
+}
+
 } // namespace
 
 // The core differential fuzz: random mix of schedules (spanning the
 // same-tick, near, mid and far-future bands real workloads produce)
-// and pops, across several seeds. Any routing or ordering bug in the
-// ladder's tiers shows up as a trace divergence.
+// and pops, across several seeds.
 TEST(SchedConformance, RandomTrafficDrainsIdentically)
 {
     for (std::uint64_t seed : {1ull, 42ull, 20260807ull}) {
@@ -121,7 +239,7 @@ TEST(SchedConformance, RandomTrafficDrainsIdentically)
         Rng rng(seed);
         Tick now = 0;
         for (int op = 0; op < 20000; ++op) {
-            if (twins.heap.empty() || rng.below(8) < 5) {
+            if (twins.oracle.empty() || rng.below(8) < 5) {
                 Tick delay = 0;
                 switch (rng.below(8)) {
                   case 0:
@@ -141,9 +259,8 @@ TEST(SchedConformance, RandomTrafficDrainsIdentically)
                 }
                 twins.schedule(now + delay);
             } else {
-                now = twins.heap.nextTick();
-                twins.popBoth();
-                if (HasFatalFailure())
+                now = twins.popBoth();
+                if (HasFailure())
                     return;
             }
         }
@@ -152,8 +269,9 @@ TEST(SchedConformance, RandomTrafficDrainsIdentically)
     }
 }
 
-// A dense burst on one far-future tick crosses the spill path with a
-// zero-width span; the ladder must preserve schedule order exactly.
+// A dense burst on one far-future tick, scheduled before any pop:
+// it all goes through the heap and must still drain in schedule
+// order.
 TEST(SchedConformance, SameTickBurstStaysFifo)
 {
     Twins twins;
@@ -162,22 +280,18 @@ TEST(SchedConformance, SameTickBurstStaysFifo)
     twins.drain();
     twins.expectTracesIdentical();
     for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(twins.ladderTrace[static_cast<std::size_t>(i)]
-                      .second,
+        EXPECT_EQ(twins.queueTrace[static_cast<std::size_t>(i)].second,
                   i);
     }
 }
 
-// More events than splitThreshold clustered inside a microsecond,
-// plus outliers hundreds of ms away: the spill creates a coarse rung
-// whose crowded bucket must split into a finer child rung mid-drain.
+// A tight cluster of hundreds of events inside one microsecond, far
+// ahead, plus outliers spread over a second.
 TEST(SchedConformance, FarFutureSpillAndRungSplit)
 {
     Twins twins;
     Rng rng(7);
-    constexpr std::size_t cluster =
-        4 * EventLadder::splitThreshold;
-    for (std::size_t i = 0; i < cluster; ++i)
+    for (int i = 0; i < 256; ++i)
         twins.schedule(milliseconds(100) + rng.below(microseconds(1)));
     for (int i = 0; i < 32; ++i)
         twins.schedule(rng.below(seconds(1)));
@@ -185,9 +299,10 @@ TEST(SchedConformance, FarFutureSpillAndRungSplit)
     twins.expectTracesIdentical();
 }
 
-// Schedules that land exactly at / just past the drain frontier after
-// pops have advanced it: these route into bottom or the deepest rung
-// and must still interleave correctly with what is already there.
+// Schedules that land exactly at / just past the drain tick after
+// pops have advanced it: the same-tick ones join the lane and must
+// interleave correctly with what the heap already holds at that
+// tick.
 TEST(SchedConformance, SchedulesAtTheRefillBoundary)
 {
     Twins twins;
@@ -195,9 +310,8 @@ TEST(SchedConformance, SchedulesAtTheRefillBoundary)
     for (int i = 0; i < 500; ++i)
         twins.schedule(rng.below(milliseconds(1)));
     for (int round = 0; round < 100; ++round) {
-        Tick now = twins.heap.nextTick();
-        twins.popBoth();
-        if (HasFatalFailure())
+        Tick now = twins.popBoth();
+        if (HasFailure())
             return;
         twins.schedule(now);                       // current tick
         twins.schedule(now + 1);                   // next tick
@@ -207,8 +321,8 @@ TEST(SchedConformance, SchedulesAtTheRefillBoundary)
     twins.expectTracesIdentical();
 }
 
-// Ticks at the end of representable time saturate the ladder's bucket
-// arithmetic; events there must still drain, in order, exactly once.
+// Ticks at the end of representable time must still drain, in
+// order, exactly once.
 TEST(SchedConformance, MaxTickEventsDrain)
 {
     Twins twins;
@@ -219,78 +333,27 @@ TEST(SchedConformance, MaxTickEventsDrain)
         twins.schedule(static_cast<Tick>(i * 1000));
     twins.drain();
     twins.expectTracesIdentical();
-    ASSERT_EQ(twins.ladderTrace.size(), 103u);
-    EXPECT_EQ(twins.ladderTrace[100].first, maxTick - 1);
-    EXPECT_EQ(twins.ladderTrace[101].first, maxTick);
-    EXPECT_EQ(twins.ladderTrace[102].first, maxTick);
+    ASSERT_EQ(twins.queueTrace.size(), 103u);
+    EXPECT_EQ(twins.queueTrace[100].first, maxTick - 1);
+    EXPECT_EQ(twins.queueTrace[101].first, maxTick);
+    EXPECT_EQ(twins.queueTrace[102].first, maxTick);
 }
 
 // The simulator's real pattern: handlers schedule follow-on events
 // while the queue drains. Successor chains must stay identical.
 TEST(SchedConformance, HandlersSchedulingDuringDrain)
 {
-    for (auto policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
-        EventQueue q(policy);
-        Trace trace;
-        Rng rng(3);
-        int nextId = 0;
-        // Self-perpetuating handlers, terminated by event budget.
-        struct Chain
-        {
-            EventQueue &q;
-            Trace &trace;
-            Rng &rng;
-            int &nextId;
-
-            void
-            hop(Tick when, int id, int hopsLeft)
-            {
-                q.schedule(when, [this, when, id, hopsLeft] {
-                    trace.emplace_back(when, id);
-                    if (hopsLeft > 0) {
-                        hop(when + rng.below(milliseconds(1)) + 1,
-                            nextId++, hopsLeft - 1);
-                    }
-                });
-            }
-        } chain{q, trace, rng, nextId};
-        for (int i = 0; i < 64; ++i)
-            chain.hop(rng.below(microseconds(10)), nextId++, 50);
-        while (!q.empty())
-            q.pop()();
-        static Trace reference;
-        if (policy == SchedPolicy::Heap) {
-            reference = trace;
-        } else {
-            ASSERT_EQ(trace.size(), reference.size());
-            for (std::size_t i = 0; i < trace.size(); ++i)
-                ASSERT_EQ(trace[i], reference[i]) << "position " << i;
-        }
-    }
+    Trace reference = chainTrace<OracleQueue>();
+    Trace trace = chainTrace<EventQueue>();
+    ASSERT_EQ(trace.size(), reference.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        ASSERT_EQ(trace[i], reference[i]) << "position " << i;
 }
 
-// Occupancy must account for every scheduled event across the three
-// tiers, before and during a drain.
-TEST(SchedConformance, OccupancySumsToSize)
-{
-    EventQueue q(SchedPolicy::Ladder);
-    Rng rng(5);
-    for (int i = 0; i < 5000; ++i)
-        q.schedule(rng.below(seconds(1)), [] {});
-    auto occ = q.ladderOccupancy();
-    EXPECT_EQ(occ.bottom + occ.rungEvents + occ.top, q.size());
-    for (int i = 0; i < 2500; ++i)
-        q.pop()();
-    occ = q.ladderOccupancy();
-    EXPECT_EQ(occ.bottom + occ.rungEvents + occ.top, q.size());
-}
-
-// ---- Batched same-tick drains (the ladder's "sorted run" bottom) ----
-
-// A single-tick bucket promotes into sorted-run mode; appends arriving
-// WHILE the run drains (the simulator's same-tick cascade pattern:
-// a handler resumes a coroutine that schedules another handler at the
-// same tick) must extend the run in FIFO order, not restart or resift.
+// Appends arriving WHILE a same-tick burst drains (the simulator's
+// cascade pattern: a handler resumes a coroutine that schedules
+// another handler at the same tick) join the lane behind the burst
+// the heap still holds, and everything drains in schedule order.
 TEST(SchedConformance, SameTickAppendsDuringDrainStayFifo)
 {
     Twins twins;
@@ -300,7 +363,7 @@ TEST(SchedConformance, SameTickAppendsDuringDrainStayFifo)
     // Enter the drain, then keep feeding the same tick from inside it.
     for (int i = 0; i < 100; ++i) {
         twins.popBoth();
-        if (HasFatalFailure())
+        if (HasFailure())
             return;
         twins.schedule(burst);
         twins.schedule(burst);
@@ -309,42 +372,16 @@ TEST(SchedConformance, SameTickAppendsDuringDrainStayFifo)
     twins.expectTracesIdentical();
     // 200 + 200 appended, all at one tick, ids strictly in schedule
     // order end to end.
-    ASSERT_EQ(twins.ladderTrace.size(), 400u);
-    for (std::size_t i = 0; i < twins.ladderTrace.size(); ++i) {
-        EXPECT_EQ(twins.ladderTrace[i].first, burst);
-        EXPECT_EQ(twins.ladderTrace[i].second, static_cast<int>(i));
+    ASSERT_EQ(twins.queueTrace.size(), 400u);
+    for (std::size_t i = 0; i < twins.queueTrace.size(); ++i) {
+        EXPECT_EQ(twins.queueTrace[i].first, burst);
+        EXPECT_EQ(twins.queueTrace[i].second, static_cast<int>(i));
     }
-}
-
-// A push at a *different* tick that still lands in the bottom range
-// must demote the sorted run back to a heap without losing position:
-// the partially-drained run and the newcomer interleave exactly as
-// the reference heap says.
-TEST(SchedConformance, MixedTickPushDemotesTheSortedRun)
-{
-    Twins twins;
-    const Tick burst = milliseconds(3);
-    for (int i = 0; i < 300; ++i)
-        twins.schedule(burst);
-    for (int i = 0; i < 50; ++i) {
-        twins.popBoth();
-        if (HasFatalFailure())
-            return;
-    }
-    // Same tick (extends the run), later ticks (demote), earlier
-    // future ticks that re-promote fresh single-tick buckets.
-    twins.schedule(burst);
-    for (int i = 1; i <= 40; ++i)
-        twins.schedule(burst + static_cast<Tick>(i));
-    for (int i = 0; i < 40; ++i)
-        twins.schedule(burst + microseconds(2));
-    twins.drain();
-    twins.expectTracesIdentical();
 }
 
 // Differential fuzz biased to same-tick traffic: most schedules reuse
-// the current head tick, so the queue spends the run oscillating
-// between sorted-run mode, demotions and re-promotions.
+// the current drain tick, so the lane fills and empties constantly
+// around heap entries at the same and nearby ticks.
 TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
 {
     for (std::uint64_t seed : {2ull, 99ull, 20260809ull}) {
@@ -353,7 +390,7 @@ TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
         Rng rng(seed);
         Tick now = 0;
         for (int op = 0; op < 20000; ++op) {
-            if (twins.heap.empty() || rng.below(8) < 5) {
+            if (twins.oracle.empty() || rng.below(8) < 5) {
                 Tick when = now;
                 switch (rng.below(8)) {
                   case 0:
@@ -374,9 +411,8 @@ TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
                 }
                 twins.schedule(when);
             } else {
-                now = twins.heap.nextTick();
-                twins.popBoth();
-                if (HasFatalFailure())
+                now = twins.popBoth();
+                if (HasFailure())
                     return;
             }
         }
@@ -385,32 +421,116 @@ TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
     }
 }
 
-// Occupancy accounting must hold while bottom is mid-run: the served
-// prefix of the sorted run is no longer counted.
-TEST(SchedConformance, OccupancyTracksThePartiallyDrainedRun)
+// Keyed events posted at the drain tick and at later ticks, from
+// several streams (so keys arrive out of order), mixed with ordinary
+// schedules that append to the lane. At a shared tick every ordinary
+// event drains first, then keyed ones in key order.
+TEST(SchedConformance, KeyedEventsMixWithLaneAppends)
 {
-    EventQueue q(SchedPolicy::Ladder);
-    const Tick burst = milliseconds(9);
-    for (int i = 0; i < 512; ++i)
-        q.schedule(burst, [] {});
-    for (int i = 0; i < 200; ++i)
-        q.pop()();
-    auto occ = q.ladderOccupancy();
-    EXPECT_EQ(occ.bottom + occ.rungEvents + occ.top, q.size());
-    EXPECT_EQ(q.size(), 312u);
+    for (std::uint64_t seed : {3ull, 17ull, 20261017ull}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Twins twins;
+        Rng rng(seed);
+        KeyStream streams[3] = {KeyStream(0), KeyStream(1),
+                                KeyStream(2)};
+        Tick now = 0;
+        for (int op = 0; op < 20000; ++op) {
+            if (twins.oracle.empty() || rng.below(8) < 5) {
+                KeyStream &keys = streams[rng.below(3)];
+                switch (rng.below(6)) {
+                  case 0:
+                  case 1:
+                    twins.schedule(now); // lane append
+                    break;
+                  case 2:
+                    twins.scheduleKeyed(now, keys.next());
+                    break;
+                  case 3:
+                    twins.scheduleKeyed(now + rng.below(8) + 1,
+                                        keys.next());
+                    break;
+                  case 4:
+                    twins.schedule(now + rng.below(8) + 1);
+                    break;
+                  default:
+                    twins.scheduleKeyed(
+                        now + microseconds(1) + rng.below(1000),
+                        keys.next());
+                }
+            } else {
+                now = twins.popBoth();
+                if (HasFailure())
+                    return;
+            }
+        }
+        twins.drain();
+        twins.expectTracesIdentical();
+    }
 }
 
-// HOWSIM_SCHED selects the default policy; unset means ladder.
-TEST(SchedConformance, PolicySelectedFromEnvironment)
+// Schedules below the last drained tick, which the Simulator never
+// issues but the queue must still order exactly: they drain before
+// the lane, and ordinary schedules at the new, lower drain tick must
+// not join a lane still holding later-tick entries.
+TEST(SchedConformance, PushesBelowTheDrainTickDrainFirst)
 {
-    ASSERT_EQ(setenv("HOWSIM_SCHED", "heap", 1), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Heap);
-    EXPECT_EQ(EventQueue().policy(), SchedPolicy::Heap);
+    Twins twins;
+    KeyStream keys(0);
+    twins.schedule(100);
+    twins.schedule(200);
+    ASSERT_EQ(twins.popBoth(), 100u);
+    twins.schedule(100);         // lane at 100
+    twins.schedule(100);         // lane at 100
+    twins.schedule(40);          // below the drain tick
+    twins.scheduleKeyed(40, keys.next());
+    twins.scheduleKeyed(100, keys.next());
+    ASSERT_EQ(twins.popBoth(), 40u);
+    twins.schedule(40);          // drain tick 40, lane still at 100
+    twins.schedule(10);
+    twins.drain();
+    twins.expectTracesIdentical();
+    std::vector<Tick> ticks;
+    for (const auto &[when, id] : twins.queueTrace)
+        ticks.push_back(when);
+    EXPECT_EQ(ticks, (std::vector<Tick>{100, 40, 10, 40, 40, 100, 100,
+                                        100, 200}));
 
-    ASSERT_EQ(setenv("HOWSIM_SCHED", "ladder", 1), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Ladder);
-    EXPECT_EQ(EventQueue().policy(), SchedPolicy::Ladder);
-
-    ASSERT_EQ(unsetenv("HOWSIM_SCHED"), 0);
-    EXPECT_EQ(defaultSchedPolicy(), SchedPolicy::Ladder);
+    // And under random traffic: a quarter of the schedules land up
+    // to 1 µs below the current drain tick.
+    for (std::uint64_t seed : {5ull, 23ull}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Twins fuzz;
+        Rng rng(seed);
+        KeyStream stream(1);
+        Tick now = microseconds(10);
+        for (int op = 0; op < 20000; ++op) {
+            if (fuzz.oracle.empty() || rng.below(8) < 5) {
+                Tick below = now - std::min(now, rng.below(1000));
+                switch (rng.below(8)) {
+                  case 0:
+                    fuzz.schedule(below);
+                    break;
+                  case 1:
+                    fuzz.scheduleKeyed(below, stream.next());
+                    break;
+                  case 2:
+                  case 3:
+                  case 4:
+                    fuzz.schedule(now);
+                    break;
+                  case 5:
+                    fuzz.scheduleKeyed(now, stream.next());
+                    break;
+                  default:
+                    fuzz.schedule(now + rng.below(microseconds(2)));
+                }
+            } else {
+                now = fuzz.popBoth();
+                if (HasFailure())
+                    return;
+            }
+        }
+        fuzz.drain();
+        fuzz.expectTracesIdentical();
+    }
 }

@@ -321,42 +321,61 @@ TEST(Simulator, ManyProcessesScale)
 
 TEST(Simulator, OrdinaryEventsDrainBeforeKeyedAtOneTick)
 {
-    for (SchedPolicy policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
-        Simulator sim(policy);
-        KeyStream keys = sim.allocKeyStream();
-        std::vector<int> order;
-        sim.postKeyed(10, keys.next(), [&] { order.push_back(10); });
-        sim.scheduleAt(10, [&] { order.push_back(1); });
-        sim.postKeyed(10, keys.next(), [&] { order.push_back(11); });
-        sim.scheduleAt(10, [&] { order.push_back(2); });
-        sim.scheduleAt(12, [&] { order.push_back(3); });
-        sim.postKeyed(5, keys.next(), [&] { order.push_back(0); });
-        sim.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 3}))
-            << schedPolicyName(policy);
-    }
+    Simulator sim;
+    KeyStream keys = sim.allocKeyStream();
+    std::vector<int> order;
+    sim.postKeyed(10, keys.next(), [&] { order.push_back(10); });
+    sim.scheduleAt(10, [&] { order.push_back(1); });
+    sim.postKeyed(10, keys.next(), [&] { order.push_back(11); });
+    sim.scheduleAt(10, [&] { order.push_back(2); });
+    sim.scheduleAt(12, [&] { order.push_back(3); });
+    sim.postKeyed(5, keys.next(), [&] { order.push_back(0); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 3}));
 }
 
 TEST(Simulator, KeyedEventsDrainByStreamThenCounter)
 {
-    for (SchedPolicy policy : {SchedPolicy::Heap, SchedPolicy::Ladder}) {
-        Simulator sim(policy);
-        KeyStream first = sim.allocKeyStream();
-        KeyStream second = sim.allocKeyStream();
-        std::uint64_t a0 = first.next();
-        std::uint64_t a1 = first.next();
-        std::uint64_t b0 = second.next();
-        std::uint64_t b1 = second.next();
-        std::vector<int> order;
-        // Posted in neither stream nor counter order.
-        sim.postKeyed(7, b1, [&] { order.push_back(3); });
-        sim.postKeyed(7, a1, [&] { order.push_back(1); });
-        sim.postKeyed(7, b0, [&] { order.push_back(2); });
-        sim.postKeyed(7, a0, [&] { order.push_back(0); });
-        sim.run();
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}))
-            << schedPolicyName(policy);
-    }
+    Simulator sim;
+    KeyStream first = sim.allocKeyStream();
+    KeyStream second = sim.allocKeyStream();
+    std::uint64_t a0 = first.next();
+    std::uint64_t a1 = first.next();
+    std::uint64_t b0 = second.next();
+    std::uint64_t b1 = second.next();
+    std::vector<int> order;
+    // Posted in neither stream nor counter order.
+    sim.postKeyed(7, b1, [&] { order.push_back(3); });
+    sim.postKeyed(7, a1, [&] { order.push_back(1); });
+    sim.postKeyed(7, b0, [&] { order.push_back(2); });
+    sim.postKeyed(7, a0, [&] { order.push_back(0); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Simulator, ZeroDelayAtUntilDrainsInOrderBeforeKeyed)
+{
+    // run(until) leaves the clock at 50, past the last event (10), so
+    // zero-delay schedules land at a tick the queue never drained.
+    // They, and the ones their handlers add, must still run in
+    // schedule order and before every keyed event at that tick.
+    Simulator sim;
+    KeyStream keys = sim.allocKeyStream();
+    std::vector<int> order;
+    sim.scheduleAt(10, [] {});
+    ASSERT_EQ(sim.run(50), 50u);
+    sim.postKeyed(50, keys.next(), [&] { order.push_back(10); });
+    sim.scheduleIn(0, [&] {
+        order.push_back(1);
+        sim.scheduleIn(0, [&] {
+            order.push_back(3);
+            sim.scheduleIn(0, [&] { order.push_back(4); });
+        });
+    });
+    sim.postKeyed(50, keys.next(), [&] { order.push_back(11); });
+    sim.scheduleIn(0, [&] { order.push_back(2); });
+    EXPECT_EQ(sim.run(), 50u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 10, 11}));
 }
 
 TEST(SimulatorDeathTest, PostKeyedRejectsKeyOutsideBand)

@@ -1,6 +1,6 @@
 /**
  * @file Traffic driver behavior: determinism of the timeline across
- * every host-side knob (scheduler, transfer engine), open- and
+ * the host-side transfer-engine knob, open- and
  * closed-loop smoke on all three architectures, admission control,
  * and faulted-plan stability.
  */
@@ -67,22 +67,12 @@ TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
     TrafficResult ref = traffic::runTraffic(base);
     ASSERT_GT(ref.completed, 0u);
 
-    for (int variant = 0; variant < 3; ++variant) {
+    for (auto xfer : {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
         ExperimentConfig config = base;
-        switch (variant) {
-          case 0:
-            config.sched = sim::SchedPolicy::Heap;
-            break;
-          case 1:
-            config.sched = sim::SchedPolicy::Ladder;
-            break;
-          case 2:
-            config.xfer = bus::XferPolicy::Calendar;
-            break;
-        }
+        config.xfer = xfer;
         TrafficResult got = traffic::runTraffic(config);
         EXPECT_EQ(got.fingerprint, ref.fingerprint)
-            << "variant " << variant;
+            << bus::xferPolicyName(xfer);
         EXPECT_EQ(got.completed, ref.completed);
         EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
         ASSERT_EQ(got.classes.size(), ref.classes.size());
@@ -168,10 +158,10 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
     ExperimentConfig config = configFor(Arch::Cluster, kOpenSpec);
     config.faults = "seed=11,disk.media.rate=5e-3,"
                     "net.drop.rate=1e-3";
+    config.xfer = bus::XferPolicy::Calendar;
     TrafficResult a = traffic::runTraffic(config);
     ExperimentConfig other = config;
-    other.xfer = bus::XferPolicy::Calendar;
-    other.sched = sim::SchedPolicy::Heap;
+    other.xfer = bus::XferPolicy::Coro;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_GT(a.completed, 0u);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
@@ -195,6 +185,7 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     // knobs.
     ExperimentConfig config = configFor(Arch::ActiveDisk, kOpenSpec);
     config.faults = "stop.disk=1,stop.at.ms=30,hb.period.ms=2";
+    config.xfer = bus::XferPolicy::Coro;
     TrafficResult a = traffic::runTraffic(config);
     EXPECT_EQ(a.completed, a.submitted);
     EXPECT_GT(a.retried, 0u);
@@ -203,7 +194,6 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     EXPECT_LE(a.retried, a.completed);
 
     ExperimentConfig other = config;
-    other.sched = sim::SchedPolicy::Heap;
     other.xfer = bus::XferPolicy::Calendar;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
@@ -221,12 +211,13 @@ TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)
                      "duration.ms=80,max.inflight=1,slo.ms=15,"
                      "mix.select=1,cap.select=0.002";
     config.faults = "stop.disk=1,stop.at.ms=10,hb.period.ms=2";
+    config.xfer = bus::XferPolicy::Calendar;
     TrafficResult a = traffic::runTraffic(config);
     EXPECT_GT(a.shed, 0u);
     EXPECT_EQ(a.completed + a.shed, a.submitted);
 
     ExperimentConfig other = config;
-    other.sched = sim::SchedPolicy::Heap;
+    other.xfer = bus::XferPolicy::Coro;
     TrafficResult b = traffic::runTraffic(other);
     EXPECT_EQ(a.shed, b.shed);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
