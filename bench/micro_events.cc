@@ -108,8 +108,7 @@ heapFallbackEventsPerSec(int batches, int perBatch)
 /**
  * Uncontended Resource round-trips per second: every acquire is an
  * inline grant and every release finds no waiters — no events at
- * all. The per-transfer floor under the coroutine bus engine, and
- * the cost the calendar engine's arithmetic booking competes with.
+ * all. The per-acquire floor of CPUs, locks and buffer pools.
  */
 double
 resourceUncontendedOpsPerSec(int ops)

@@ -11,8 +11,8 @@
  * datasets so each query is short enough to build a distribution
  * from; max.inflight=4 concurrent queries share the machine, and
  * everything beyond queues. Timelines are bit-identical across
- * HOWSIM_XFER / HOWSIM_JOBS — the per-run fingerprint table at the
- * end is what CI asserts on.
+ * HOWSIM_JOBS settings — the per-run fingerprint table at the end is
+ * what CI asserts on.
  *
  * Usage: traffic_sweep [--quick]
  *   --quick   16 disks and two offered loads only (CI smoke)

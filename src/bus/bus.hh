@@ -11,14 +11,13 @@
  * busy, which is what turns a shared 200 MB/s interconnect into the
  * SMP bottleneck the paper measures.
  *
- * Two interchangeable transfer engines implement those semantics
- * (BusParams::xfer, HOWSIM_XFER): the reference coroutine path
- * (Resource acquire / delay / release per transfer) and the calendar
- * path, which books the same FIFO schedule arithmetically from
- * per-channel busy-until ticks and schedules only completion events.
- * Grant order, timing, statistics and observability output are
- * identical between the two; DESIGN.md §12 gives the equivalence
- * argument.
+ * The bus books that FIFO schedule as a calendar: a transfer that
+ * finds a free channel and no queue is granted inline, others wait
+ * in a pending queue, and only completion events are scheduled, with
+ * no coroutine frame per transfer. Grants and completions fall at the
+ * same ticks, in the same order, as under a Resource acquire / delay
+ * / release coroutine per transfer (DESIGN.md §12); the differential
+ * tests check this against exactly that reference.
  */
 
 #ifndef HOWSIM_BUS_BUS_HH
@@ -26,15 +25,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "bus/xfer.hh"
 #include "sim/action.hh"
-#include "sim/coro.hh"
-#include "sim/resource.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
@@ -62,7 +57,7 @@ struct BusParams
     /** Per-transfer arbitration/startup latency. */
     sim::Tick startup = sim::microseconds(1);
 
-    /** Transfer engine; defaults to HOWSIM_XFER (calendar). */
+    /** Unused; kept only for perfbench/. */
     XferPolicy xfer = defaultXferPolicy();
 
     /**
@@ -141,23 +136,6 @@ struct BusStats
     sim::Tick busyTicks = 0;
 };
 
-/**
- * Owner of a closed-form booking that spans one or more calendar
- * buses (the Network's collapsed frame trains). While a reservation
- * is installed, the bus holds no per-transfer state for the owner's
- * frames; any foreign booking first calls demote(), which must
- * re-materialize the owner's still-pending frames as ordinary
- * calendar bookings on every bus it spans and clear the reservation.
- */
-class Reservation
-{
-  public:
-    virtual ~Reservation() = default;
-
-    /** Re-materialize per-transfer state; see the class comment. */
-    virtual void demote() = 0;
-};
-
 /** A shared interconnect; see the file comment for the model. */
 class Bus
 {
@@ -178,10 +156,10 @@ class Bus
     Transfer transfer(std::uint64_t bytes);
 
     /**
-     * Calendar engine only: book a transfer at the current tick and
-     * invoke @p done inside the completion event, after statistics
-     * are applied — the position a coroutine awaiting transfer()
-     * resumes at. Queues FIFO behind pending bookings.
+     * Book a transfer at the current tick and invoke @p done inside
+     * the completion event, after statistics are applied: the
+     * position a coroutine awaiting transfer() resumes at. Queues
+     * FIFO behind pending bookings.
      */
     void bookAsync(std::uint64_t bytes, sim::InlineAction done);
 
@@ -204,183 +182,72 @@ class Bus
      */
     sim::Tick minGrantLatency() const { return busParams.startup; }
 
-    /**
-     * Transfers currently waiting for a channel. Frames covered by an
-     * installed Reservation are not counted until it settles.
-     */
-    std::size_t
-    queueLength() const
-    {
-        return busParams.xfer == XferPolicy::Coro ? slots.queueLength()
-                                                  : pending.size();
-    }
+    /** Transfers currently waiting for a channel. */
+    std::size_t queueLength() const { return pending.size(); }
 
     /** Aggregate time transfers spent waiting for a channel. */
-    sim::Tick
-    totalWait() const
-    {
-        return busParams.xfer == XferPolicy::Coro ? slots.totalWait()
-                                                  : waitTicks;
-    }
+    sim::Tick totalWait() const { return waitTicks; }
 
     /** Fraction of channel capacity in use over @p elapsed ticks. */
     double
     utilization(sim::Tick elapsed) const
     {
-        if (busParams.xfer == XferPolicy::Coro)
-            return slots.utilization(elapsed);
         if (elapsed == 0)
             return 0.0;
         return static_cast<double>(busyUnitTicks)
                / (static_cast<double>(busParams.channels) * elapsed);
     }
 
-    // ----- calendar collapse handshake (used by net::Network) -----
-
-    /**
-     * Clients are prospective bookers (the Network registers every
-     * in-flight transfer on each bus of its path). A reservation is
-     * only sound while its owner is the sole client: any concurrent
-     * client could interleave with the reserved schedule at a shared
-     * tick, and events materialized at demotion time cannot recover
-     * the FIFO positions the per-frame engines would have assigned
-     * (DESIGN.md §12). Newcomers register at their entry point —
-     * before any booking — and demote intersecting reservations
-     * there, which is early enough to keep event order exact.
-     */
-    void addClient() { ++clients; }
-    void dropClient() { --clients; }
-    Reservation *reservation() const { return resv; }
-
-    /**
-     * True when a closed-form booking may be layered on this bus:
-     * calendar engine, no reservation installed, nothing queued or
-     * in service, and the caller is the sole registered client.
-     */
-    bool
-    calendarQuiet() const
-    {
-        return busParams.xfer == XferPolicy::Calendar && !resv
-               && pending.empty() && activeCount == 0 && clients == 1;
-    }
-
-    /** Per-channel busy-until ticks (calendar engine). */
-    const std::vector<sim::Tick> &channelEnds() const { return chanEnd; }
-
-    /** Install @p r; @pre calendarQuiet(). */
-    void setReservation(Reservation *r);
-
-    /** Remove the installed reservation (if it is @p r). */
-    void clearReservation(Reservation *r);
-
-    /**
-     * Settle one reserved transfer that ran to completion entirely
-     * under the reservation: fold its end into the channel calendar
-     * and apply the statistics a normal completion would have.
-     * @p queued_depth is the queue depth the transfer would have
-     * observed on enqueue (0 = granted immediately).
-     */
-    void commitReserved(sim::Tick arrival, sim::Tick start, sim::Tick end,
-                        std::uint64_t bytes, std::size_t queued_depth);
-
-    /**
-     * Demotion of an in-service reserved transfer
-     * (start <= now < end): occupy a channel, schedule the normal
-     * completion event at @p end (which applies transfer statistics
-     * and runs @p done), and settle the wait it already served.
-     */
-    void adoptReservedActive(sim::Tick arrival, sim::Tick start,
-                             sim::Tick end, std::uint64_t bytes,
-                             std::size_t queued_depth,
-                             sim::InlineAction done);
-
-    /**
-     * Demotion of a reserved transfer that had arrived but not yet
-     * started: append it to the pending queue with its original
-     * arrival tick, to be granted by the normal completion chain.
-     */
-    void adoptReservedQueued(sim::Tick arrival, std::uint64_t bytes,
-                             std::size_t queued_depth,
-                             sim::InlineAction done);
-
-    /** Calendar-engine awaitable / coroutine-path wrapper. */
+    /** Awaitable returned by transfer(). */
     class Transfer
     {
       public:
-        explicit Transfer(sim::Coro<void> c) : inner(std::move(c)) {}
-
         Transfer(Bus *b, std::uint64_t n) : target(b), nbytes(n) {}
 
         bool await_ready() const noexcept { return false; }
 
-        std::coroutine_handle<>
+        void
         await_suspend(std::coroutine_handle<> cont)
         {
-            if (inner.valid())
-                return inner.operator co_await().await_suspend(cont);
             target->bookAsync(nbytes, sim::InlineAction(cont));
-            return std::noop_coroutine();
         }
 
-        void
-        await_resume()
-        {
-            if (inner.valid())
-                inner.operator co_await().await_resume();
-        }
+        void await_resume() const noexcept {}
 
       private:
-        sim::Coro<void> inner; //!< engaged on the coroutine path
-        Bus *target = nullptr;
-        std::uint64_t nbytes = 0;
+        Bus *target;
+        std::uint64_t nbytes;
     };
 
   private:
-    /** Pooled per-booking record (calendar engine). */
+    /** Pooled per-booking record. */
     struct Rec
     {
         std::uint64_t bytes;
         sim::Tick occ;
         sim::Tick arrival;
-        int channel;
         sim::InlineAction done;
         Rec *nextFree;
     };
 
-    sim::Coro<void> transferCoro(std::uint64_t bytes);
-
     Rec *allocRec();
     void freeRec(Rec *r);
-    /** Channel with the smallest busy-until tick among free ones. */
-    int freeChannelMinEnd() const;
     /** Integrate channel occupancy up to now (utilization). */
     void integrate(sim::Tick now);
-    /** Grant @p r a channel now and schedule its completion. */
-    void grantNow(Rec *r, sim::Tick now);
+    /** Hand @p r a channel at @p now and account its wait. */
+    void grant(Rec *r, sim::Tick now);
+    /** Schedule @p r's completion one occupancy from now. */
+    void occupy(Rec *r);
     void onComplete(Rec *r);
-    /** Synchronous FIFO grant at release time (Resource semantics);
-     *  the wake event then schedules the completion. */
-    void grantChannel(Rec *r, sim::Tick now);
-    void onWake(Rec *r);
 
     sim::Simulator &simulator;
     BusParams busParams;
-    sim::Resource slots;
     BusStats accumulated;
 
-    // Calendar engine state (unused on the coroutine path).
-    std::vector<sim::Tick> chanEnd; //!< last booked end per channel
-    std::vector<int> chanBusy;      //!< outstanding completion events
-    int activeCount = 0;
+    int activeCount = 0; //!< completion events not yet run
     std::deque<Rec *> pending;
     std::deque<Rec> recPool;
     Rec *freeRecs = nullptr;
-    Reservation *resv = nullptr;
-    int clients = 0; //!< registered prospective bookers
-
-    // Conformance trace (HOWSIM_BUSLOG); see bus.cc. Null when off.
-    std::FILE *dbgLog = nullptr;
-    int dbgId = -1;
     sim::Tick waitTicks = 0;
     sim::Tick lastChange = 0;
     std::uint64_t busyUnitTicks = 0;

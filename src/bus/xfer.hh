@@ -1,17 +1,9 @@
 /**
  * @file
- * Transfer-policy selection for the interconnect models.
- *
- * Buses (and the Network built from them) ship two interchangeable
- * transfer engines. The coroutine path is the reference: every
- * transfer is a coroutine that acquires a Resource slot, delays for
- * its occupancy, and releases. The calendar path computes the same
- * FIFO channel schedule arithmetically from per-channel busy-until
- * ticks and schedules only completion events — no coroutine frames —
- * producing the same grants at the same (tick, seq) positions (see
- * DESIGN.md §12 for the equivalence argument). The HOWSIM_XFER
- * environment variable ("calendar" | "coro") picks the default for
- * newly built buses.
+ * Transfer-policy names that perfbench/ still compiles against. The
+ * interconnect has one transfer engine, the calendar Bus (bus.hh)
+ * and the Network's per-frame walker built on it; nothing in src/
+ * reads these names.
  */
 
 #ifndef HOWSIM_BUS_XFER_HH
@@ -20,25 +12,25 @@
 namespace howsim::bus
 {
 
-/** The interchangeable bus/network transfer engines. */
+/** The one transfer engine; exists only for perfbench/. */
 enum class XferPolicy
 {
-    /** Coroutine per transfer over a Resource. The reference. */
-    Coro,
-    /** Arithmetic busy-until calendar. The default. */
     Calendar,
 };
 
-/** Short name ("coro", "calendar"). */
-const char *xferPolicyName(XferPolicy policy);
+/** Short name of @p policy; exists only for perfbench/. */
+constexpr const char *
+xferPolicyName(XferPolicy)
+{
+    return "calendar";
+}
 
-/**
- * The policy named by HOWSIM_XFER, or XferPolicy::Calendar when the
- * variable is unset. Unrecognised values warn once and fall back to
- * the default. Read per call (not cached) so tests can switch the
- * environment between bus constructions.
- */
-XferPolicy defaultXferPolicy();
+/** The only policy; exists only for perfbench/. */
+constexpr XferPolicy
+defaultXferPolicy()
+{
+    return XferPolicy::Calendar;
+}
 
 } // namespace howsim::bus
 

@@ -6,7 +6,6 @@
 #include <thread>
 #include <sstream>
 
-#include "bus/xfer.hh"
 #include "core/runner.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -112,11 +111,9 @@ BenchHarness::~BenchHarness()
     // parallel entry: a jobs > 1 run on a 1-CPU host measures
     // overhead, not speedup (docs/perf.md).
     unsigned hw = std::thread::hardware_concurrency();
-    body += strprintf(",\n    \"jobs\": %d,\n    \"xfer\": \"%s\""
+    body += strprintf(",\n    \"jobs\": %d"
                       ",\n    \"hardware_concurrency\": %u",
-                      defaultJobs(),
-                      bus::xferPolicyName(bus::defaultXferPolicy()),
-                      hw > 0 ? hw : 1);
+                      defaultJobs(), hw > 0 ? hw : 1);
     for (const auto &[key, value] : extras)
         body += strprintf(",\n    \"%s\": %.6g", key.c_str(), value);
     for (const auto &[key, value] : noteExtras)

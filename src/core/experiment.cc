@@ -247,7 +247,6 @@ runExperiment(const ExperimentConfig &config)
         params.interconnectLoops = config.interconnectLoops;
         params.directD2d = config.directD2d;
         params.frontendCpuMhz = config.adFrontendMhz;
-        params.xfer = config.xfer;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
         // Batch runs use the keyed barrier; runTraffic does not.
@@ -264,11 +263,8 @@ runExperiment(const ExperimentConfig &config)
         return result;
       }
       case Arch::Cluster: {
-        arch::ClusterParams params;
-        params.net.xfer = config.xfer;
-        params.nodeBus.xfer = config.xfer;
         arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive, params);
+                                     config.drive);
         // Batch runs use the keyed message legs and barrier;
         // runTraffic does not.
         machine.useKeyedProtocols();
@@ -288,7 +284,6 @@ runExperiment(const ExperimentConfig &config)
         smp::SmpParams params;
         params.fcRate = config.interconnectRate;
         params.fcLoops = config.interconnectLoops;
-        params.xfer = config.xfer;
         smp::SmpMachine machine(simulator, config.scale, config.scale,
                                 config.drive, params);
         AvailabilityRig<SmpAvailability, smp::SmpMachine> rig(

@@ -80,13 +80,7 @@ struct ExperimentConfig
     /** Unused by the simulator; exists only for perfbench/. */
     sim::SchedPolicy sched = sim::defaultSchedPolicy();
 
-    /**
-     * Transfer engine for every interconnect in the machine (the
-     * cluster fabric and node buses, the Active Disk loop, the SMP
-     * buses). This is a host-side choice only:
-     * simulated results are bit-identical under either engine
-     * (DESIGN.md §12). Defaults to the HOWSIM_XFER selection.
-     */
+    /** Unused by the simulator; exists only for perfbench/. */
     bus::XferPolicy xfer = bus::defaultXferPolicy();
 
     /** Kept for perfbench/, which still sets it; only 1 is accepted. */

@@ -50,7 +50,7 @@ struct AdParams
     /** Loops composing the serial interconnect. */
     int interconnectLoops = 2;
 
-    /** Transfer engine for the interconnect (host-side choice). */
+    /** Unused; kept only for perfbench/. */
     bus::XferPolicy xfer = bus::defaultXferPolicy();
 
     /** Front-end host processor clock (Pentium II). */
@@ -97,10 +97,8 @@ struct AdParams
     bus::BusParams
     interconnect() const
     {
-        bus::BusParams p = bus::BusParams::fibreChannel(
-            interconnectRate, interconnectLoops);
-        p.xfer = xfer;
-        return p;
+        return bus::BusParams::fibreChannel(interconnectRate,
+                                            interconnectLoops);
     }
 };
 

@@ -9,8 +9,8 @@
  * (hb.timeout.x) and whatever foreground traffic is contending for
  * the link — not a configured constant. Heartbeat send instants are
  * jittered by the repo's stateless counter hash (fault::unitDraw), so
- * the probe schedule is bit-identical across the xfer x jobs matrix
- * like every other fault site.
+ * the probe schedule is bit-identical across job counts like every
+ * other fault site.
  *
  * Two clocks matter and are deliberately distinct (DESIGN.md §13):
  *

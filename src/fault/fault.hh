@@ -15,9 +15,8 @@
  * of the plan seed, a stable site id (disk name, link endpoints), and
  * a per-site sequence number that advances in simulated event order.
  * No stateful RNG stream exists, so decisions cannot depend on host
- * thread interleaving or on which transfer engine runs the events:
- * the same seed and plan give bit-identical results under serial or
- * parallel runners and under either xfer policy.
+ * thread interleaving: the same seed and plan give bit-identical
+ * results under serial or parallel runners.
  */
 
 #ifndef HOWSIM_FAULT_FAULT_HH
@@ -182,7 +181,7 @@ struct FaultPlan
  * time), so every layer — machines redirecting I/O, the detector
  * measuring latency, the traffic driver retrying queries — agrees on
  * it without exchanging state, which is what keeps timelines
- * bit-identical across the xfer x jobs matrix.
+ * bit-identical across job counts.
  */
 struct StopSchedule
 {

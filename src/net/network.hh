@@ -15,15 +15,12 @@
  * being a FIFO queue-based bus. Contention therefore emerges at
  * whichever stage is oversubscribed.
  *
- * Two transfer engines implement the frame train (NetParams::xfer,
- * HOWSIM_XFER). The reference path spawns a coroutine per frame. The
- * calendar path drives the same event schedule from arithmetic
- * bookings on the stage buses and, when every stage is quiet,
- * collapses the whole train into a closed-form pipeline schedule —
- * O(path length) events for an N-frame message — that demotes back
- * to per-frame bookings the moment a competing transfer books one of
- * its stages. Timing, statistics and completion order are identical
- * between the engines (DESIGN.md §12).
+ * A per-frame walker drives the train: plain events and bookings on
+ * the stage buses, with no coroutine frame per frame. It schedules
+ * every event at the tick, and in the order, that a forwarder
+ * coroutine per frame over Resource-based buses would (DESIGN.md
+ * §12); the differential tests check this against exactly that
+ * reference.
  *
  * Accounting semantics:
  *  - Loopback (src == dst) is local delivery: it completes in zero
@@ -41,12 +38,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bus/bus.hh"
 #include "bus/xfer.hh"
-#include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
@@ -77,10 +72,10 @@ struct NetParams
     /** Per-hop propagation plus switching latency. */
     sim::Tick hopLatency = sim::microseconds(5);
 
-    /** Segmentation unit for pipelining across hops. */
+    /** Segmentation unit for pipelining across hops; positive. */
     std::uint32_t frameBytes = 64 * 1024;
 
-    /** Transfer engine for the stage buses and the frame train. */
+    /** Unused; kept only for perfbench/. */
     bus::XferPolicy xfer = bus::defaultXferPolicy();
 };
 
@@ -144,28 +139,11 @@ class Network
 
     int edgeOf(int host) const { return host / netParams.hostsPerSwitch; }
 
-    sim::Coro<void> forwardFrame(int src, int dst, std::uint32_t bytes,
-                                 bool cross_edge, int *arrived,
-                                 int total, sim::Trigger *done);
-
-    /**
-     * Completion of a collapsed frame train, in two event hops (arm
-     * at the delivering frame's grant tick, finish at delivery).
-     * Reached through the id table so a train demoted after the
-     * events were scheduled is simply a stale id, never a dangling
-     * pointer.
-     */
-    void armReserved(std::uint64_t id);
-    void finishReserved(std::uint64_t id);
-
     sim::Simulator &simulator;
     NetParams netParams;
     std::vector<Host> hosts;
     std::vector<Edge> edges;
     std::uint64_t movedBytes = 0;
-    int opsInFlight = 0; //!< calendar-path transfers in flight
-    std::unordered_map<std::uint64_t, XferOp *> reservedOps;
-    std::uint64_t nextOpId = 1;
     obs::Counter *obsMoved = nullptr; //!< null when obs is off
 };
 

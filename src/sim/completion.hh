@@ -3,11 +3,10 @@
  * Single-waiter one-shot completion, firable from plain (non-
  * coroutine) event handlers.
  *
- * Trigger supports any number of waiting coroutines, which is what a
- * fan-out of per-frame forwarders needs. The calendar transfer path
- * has exactly one waiter — the transport coroutine — and its
- * completion is signalled from an arithmetic event handler, not from
- * another coroutine. Completion is the minimal primitive for that
+ * Trigger supports any number of waiting coroutines. The Network's
+ * per-frame walker has exactly one waiter — the transport coroutine —
+ * and its completion is signalled from a plain event handler, not
+ * from another coroutine. Completion is the minimal primitive for that
  * shape: one handle, one flag, no vector. fire() schedules the
  * waiter's resumption at the current tick, the same position
  * Trigger::fire() would have produced.

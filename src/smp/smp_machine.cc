@@ -32,7 +32,6 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
         link.channels = 1;
         link.channelRate = smpParams.interconnectLinkRate;
         link.startup = smpParams.interconnectLatency;
-        link.xfer = smpParams.xfer;
         b.linkOut = std::make_unique<bus::Bus>(s, link);
         b.linkIn = std::make_unique<bus::Bus>(s, link);
         bus::BusParams bte;
@@ -40,17 +39,13 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
         bte.channels = 1;
         bte.channelRate = smpParams.bteRate;
         bte.startup = smpParams.interconnectLatency;
-        bte.xfer = smpParams.xfer;
         b.bte = std::make_unique<bus::Bus>(s, bte);
     }
 
-    bus::BusParams fcp = bus::BusParams::fibreChannel(smpParams.fcRate,
-                                                      smpParams.fcLoops);
-    fcp.xfer = smpParams.xfer;
-    fc = std::make_unique<bus::Bus>(s, fcp);
-    bus::BusParams xiop = bus::BusParams::xio();
-    xiop.xfer = smpParams.xfer;
-    xio = std::make_unique<bus::Bus>(s, xiop);
+    fc = std::make_unique<bus::Bus>(
+        s, bus::BusParams::fibreChannel(smpParams.fcRate,
+                                        smpParams.fcLoops));
+    xio = std::make_unique<bus::Bus>(s, bus::BusParams::xio());
 
     for (int d = 0; d < ndisks; ++d) {
         farm.push_back(std::make_unique<disk::Disk>(

@@ -53,7 +53,7 @@ struct SmpParams
     /** Stripe unit across the disk farm. */
     std::uint32_t stripeChunkBytes = 64 * 1024;
 
-    /** Transfer engine for every machine bus (host-side choice). */
+    /** Unused; kept only for perfbench/. */
     bus::XferPolicy xfer = bus::defaultXferPolicy();
 
     /** Full-function OS (IRIX-class) costs. */

@@ -375,10 +375,10 @@ class Driver
         // Client-visible retry, exactly once: only queries whose
         // first attempt overlapped a death instant re-execute (on a
         // disjoint stream band). Aliveness is plan arithmetic, so
-        // which queries retry is identical across the xfer x jobs
-        // matrix. The takeover redirect already keeps a
-        // degraded attempt's output byte-equal — the assert below is
-        // the availability contract, checked on every retry.
+        // which queries retry is identical across job counts. The
+        // takeover redirect already keeps a degraded attempt's output
+        // byte-equal — the assert below is the availability contract,
+        // checked on every retry.
         if (!stopSched.empty()
             && stopSched.deathWithin(began, simulator.now())) {
             ++classRetried[cls];
@@ -550,7 +550,6 @@ runTraffic(const core::ExperimentConfig &config,
         params.interconnectLoops = config.interconnectLoops;
         params.directD2d = config.directD2d;
         params.frontendCpuMhz = config.adFrontendMhz;
-        params.xfer = config.xfer;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
         AdExec exec(simulator, machine, config.costs);
@@ -561,11 +560,8 @@ runTraffic(const core::ExperimentConfig &config,
         return result;
       }
       case core::Arch::Cluster: {
-        arch::ClusterParams params;
-        params.net.xfer = config.xfer;
-        params.nodeBus.xfer = config.xfer;
         arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive, params);
+                                     config.drive);
         ClusterExec exec(simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
@@ -577,7 +573,6 @@ runTraffic(const core::ExperimentConfig &config,
         smp::SmpParams params;
         params.fcRate = config.interconnectRate;
         params.fcLoops = config.interconnectLoops;
-        params.xfer = config.xfer;
         smp::SmpMachine machine(simulator, config.scale,
                                 config.scale, config.drive, params);
         SmpExec exec(simulator, machine, config.costs);

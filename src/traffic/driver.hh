@@ -90,8 +90,7 @@ struct TrafficResult
      * Order-sensitive digest of every completion record
      * (qid, class, completion instant, latency). Two runs with the
      * same plan and machine produce the same fingerprint regardless
-     * of HOWSIM_XFER / HOWSIM_JOBS — the determinism contract CI
-     * asserts.
+     * of HOWSIM_JOBS — the determinism contract CI asserts.
      */
     std::uint64_t fingerprint = 0;
 };

@@ -5,6 +5,7 @@
 #include "bus/bus.hh"
 #include "disk/disk.hh"
 #include "disk/geometry.hh"
+#include "net/network.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim;
@@ -32,6 +33,19 @@ TEST(BusDeath, NonPositiveRatePanics)
             bus::Bus bus(sim, p);
         },
         "channelRate");
+}
+
+TEST(NetDeath, ZeroFrameBytesPanics)
+{
+    // Every transport divides its bytes into frameBytes-sized frames.
+    EXPECT_DEATH(
+        {
+            Simulator sim;
+            net::NetParams p;
+            p.frameBytes = 0;
+            net::Network net(sim, 2, p);
+        },
+        "frameBytes");
 }
 
 TEST(DiskDeath, ZeroLengthRequestPanics)

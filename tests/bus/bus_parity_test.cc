@@ -1,12 +1,12 @@
 /**
  * @file
- * Statistics parity between the two transfer engines: the same
- * contended workload run under XferPolicy::Coro and
- * XferPolicy::Calendar must report identical BusStats (transfers,
- * bytes, busyTicks), totalWait, utilization and end-of-run
- * queueLength — not merely identical completion times. This pins the
- * calendar engine's bookkeeping (synchronous release-time grants,
- * reservation commit/adopt paths) to the Resource-based reference.
+ * Statistics parity between the calendar Bus and the coroutine
+ * reference bus (reference_bus.hh): the same contended workload must
+ * report identical BusStats (transfers, bytes, busyTicks),
+ * totalWait, utilization and end-of-run queueLength — not merely
+ * identical completion times. This pins the calendar Bus's
+ * bookkeeping (synchronous release-time grants, the FIFO pending
+ * queue) to the Resource-based reference.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "bus/bus.hh"
+#include "reference_bus.hh"
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim::bus;
 using namespace howsim::sim;
+namespace reference = howsim::reference;
 
 namespace
 {
@@ -41,8 +43,9 @@ struct Report
  * with mixed sizes and arrival times, enough concurrency to keep
  * every channel busy and a queue formed for most of the run.
  */
+template <typename B>
 Report
-runWorkload(XferPolicy policy, int channels, double rate)
+runWorkload(int channels, double rate)
 {
     Simulator sim;
     BusParams p;
@@ -50,8 +53,7 @@ runWorkload(XferPolicy policy, int channels, double rate)
     p.channels = channels;
     p.channelRate = rate;
     p.startup = microseconds(10);
-    p.xfer = policy;
-    Bus bus(sim, p);
+    B bus(sim, p);
     auto user = [&bus](Tick start, std::uint64_t bytes,
                        int repeats) -> Coro<void> {
         co_await delay(start);
@@ -78,16 +80,53 @@ runWorkload(XferPolicy policy, int channels, double rate)
 void
 expectParity(int channels, double rate)
 {
-    Report coro = runWorkload(XferPolicy::Coro, channels, rate);
-    Report cal = runWorkload(XferPolicy::Calendar, channels, rate);
-    EXPECT_EQ(coro.elapsed, cal.elapsed);
-    EXPECT_EQ(coro.transfers, cal.transfers);
-    EXPECT_EQ(coro.bytes, cal.bytes);
-    EXPECT_EQ(coro.busyTicks, cal.busyTicks);
-    EXPECT_EQ(coro.totalWait, cal.totalWait);
-    EXPECT_DOUBLE_EQ(coro.utilization, cal.utilization);
-    EXPECT_EQ(coro.queueLength, cal.queueLength);
+    Report ref = runWorkload<reference::Bus>(channels, rate);
+    Report cal = runWorkload<Bus>(channels, rate);
+    EXPECT_EQ(ref.elapsed, cal.elapsed);
+    EXPECT_EQ(ref.transfers, cal.transfers);
+    EXPECT_EQ(ref.bytes, cal.bytes);
+    EXPECT_EQ(ref.busyTicks, cal.busyTicks);
+    EXPECT_EQ(ref.totalWait, cal.totalWait);
+    EXPECT_DOUBLE_EQ(ref.utilization, cal.utilization);
+    EXPECT_EQ(ref.queueLength, cal.queueLength);
     EXPECT_EQ(cal.queueLength, 0u); // drained
+}
+
+struct Probe
+{
+    std::size_t queueLength;
+    Tick totalWait;
+    double utilization;
+};
+
+/** Bus observations every 2 ms while eight large transfers queue. */
+template <typename B>
+std::vector<Probe>
+sampleMidRun()
+{
+    Simulator sim;
+    BusParams p;
+    p.channels = 2;
+    p.channelRate = 100e6;
+    p.startup = microseconds(10);
+    B bus(sim, p);
+    auto user = [&bus](std::uint64_t bytes) -> Coro<void> {
+        co_await bus.transfer(bytes);
+    };
+    for (int i = 0; i < 8; ++i)
+        sim.spawn(user(1000000 + 10000u * i));
+    std::vector<Probe> probes;
+    auto prober = [&]() -> Coro<void> {
+        for (int i = 0; i < 6; ++i) {
+            co_await delay(milliseconds(2));
+            probes.push_back({bus.queueLength(), bus.totalWait(),
+                              bus.utilization(
+                                  Simulator::current()->now())});
+        }
+    };
+    sim.spawn(prober());
+    sim.run();
+    return probes;
 }
 
 } // namespace
@@ -113,47 +152,15 @@ TEST(BusParity, FourChannelsFastLink)
  */
 TEST(BusParity, MidRunQueueObservationsAgree)
 {
-    struct Probe
-    {
-        std::size_t queueLength;
-        Tick totalWait;
-        double utilization;
-    };
-    auto sample = [](XferPolicy policy) {
-        Simulator sim;
-        BusParams p;
-        p.channels = 2;
-        p.channelRate = 100e6;
-        p.startup = microseconds(10);
-        p.xfer = policy;
-        Bus bus(sim, p);
-        auto user = [&bus](std::uint64_t bytes) -> Coro<void> {
-            co_await bus.transfer(bytes);
-        };
-        for (int i = 0; i < 8; ++i)
-            sim.spawn(user(1000000 + 10000u * i));
-        std::vector<Probe> probes;
-        auto prober = [&]() -> Coro<void> {
-            for (int i = 0; i < 6; ++i) {
-                co_await delay(milliseconds(2));
-                probes.push_back({bus.queueLength(), bus.totalWait(),
-                                  bus.utilization(
-                                      Simulator::current()->now())});
-            }
-        };
-        sim.spawn(prober());
-        sim.run();
-        return probes;
-    };
-    auto coro = sample(XferPolicy::Coro);
-    auto cal = sample(XferPolicy::Calendar);
-    ASSERT_EQ(coro.size(), cal.size());
+    auto ref = sampleMidRun<reference::Bus>();
+    auto cal = sampleMidRun<Bus>();
+    ASSERT_EQ(ref.size(), cal.size());
     bool sawQueue = false;
-    for (std::size_t i = 0; i < coro.size(); ++i) {
-        EXPECT_EQ(coro[i].queueLength, cal[i].queueLength) << i;
-        EXPECT_EQ(coro[i].totalWait, cal[i].totalWait) << i;
-        EXPECT_DOUBLE_EQ(coro[i].utilization, cal[i].utilization) << i;
-        sawQueue = sawQueue || coro[i].queueLength > 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(ref[i].queueLength, cal[i].queueLength) << i;
+        EXPECT_EQ(ref[i].totalWait, cal[i].totalWait) << i;
+        EXPECT_DOUBLE_EQ(ref[i].utilization, cal[i].utilization) << i;
+        sawQueue = sawQueue || ref[i].queueLength > 0;
     }
     EXPECT_TRUE(sawQueue); // the probe really observed contention
 }

@@ -8,7 +8,6 @@
 
 #include <cstdlib>
 
-#include "bus/xfer.hh"
 #include "core/experiment.hh"
 
 using namespace howsim;
@@ -124,14 +123,6 @@ TEST(ConfigValidationDeathTest, MalformedFaultSpecKey)
     config.faults = "disk.nonsense=1";
     EXPECT_EXIT(core::runExperiment(config),
                 testing::ExitedWithCode(1), "disk.nonsense");
-}
-
-TEST(EnvValidationDeathTest, XferEnvGarbageIsFatal)
-{
-    setenv("HOWSIM_XFER", "teleport", 1);
-    EXPECT_EXIT(bus::defaultXferPolicy(), testing::ExitedWithCode(1),
-                "HOWSIM_XFER");
-    unsetenv("HOWSIM_XFER");
 }
 
 TEST(EnvValidationDeathTest, ObsIntervalGarbageIsFatal)

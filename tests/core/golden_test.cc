@@ -17,10 +17,6 @@
  * refactor that claims not to change the model must leave every line
  * unchanged. A model change that moves a line regenerates the table:
  * each failure prints the op's new line in the table's format.
- *
- * Transfers are pinned to the calendar engine, whose event count the
- * table records (the coroutine engine executes the same transfers
- * with more events).
  */
 
 #include <gtest/gtest.h>
@@ -157,7 +153,6 @@ runOp(const GoldenOp &op)
     config.arch = op.arch;
     config.task = op.task;
     config.scale = kScale;
-    config.xfer = bus::XferPolicy::Calendar;
     config.faults = op.faults;
     std::uint64_t events0 = sim::totalEventsExecuted();
     if (op.traffic) {

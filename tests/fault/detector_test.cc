@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
 #include "sim/ticks.hh"
@@ -65,28 +66,26 @@ TEST(Detector, DetectionLatencyIsEmergentNotConfigured)
               fast.availability.detectLatencyMax);
 }
 
-TEST(Detector, TimelineBitIdenticalAcrossSchedXfer)
+TEST(Detector, TimelineBitIdenticalAcrossJobs)
 {
     // The probe schedule draws from the stateless counter hash and
     // every probe rides the machine's deterministic interconnect, so
     // a faulted-with-rejoin run must produce ONE timeline — elapsed,
-    // output, detection latency, rebuilt bytes — across the whole
-    // host-knob matrix.
+    // output, detection latency, rebuilt bytes — whether it runs
+    // alone or beside a twin on the parallel runner.
     auto config = baseConfig(Arch::ActiveDisk, TaskKind::Select, 4);
     config.faults = "seed=5,stop.disk=1+2,stop.at.ms=40,"
                     "stop.restart.ms=120,hb.period.ms=2,"
                     "rebuild.rate.mbs=64";
-    std::vector<tasks::TaskResult> results;
-    for (auto xfer : {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-        config.xfer = xfer;
-        results.push_back(core::runExperiment(config));
-    }
+    std::vector<tasks::TaskResult> results{core::runExperiment(config)};
+    for (const auto &r : core::runExperiments({config, config}, 2))
+        results.push_back(r);
     ASSERT_EQ(results[0].availability.deaths, 2u);
     ASSERT_EQ(results[0].availability.rejoins, 2u);
     EXPECT_GT(results[0].availability.rebuiltBytes, 0u);
     for (std::size_t i = 1; i < results.size(); ++i) {
         EXPECT_EQ(results[i].elapsedTicks, results[0].elapsedTicks)
-            << "combo " << i;
+            << "run " << i;
         EXPECT_EQ(results[i].outputBytes, results[0].outputBytes);
         EXPECT_EQ(results[i].availability.heartbeats,
                   results[0].availability.heartbeats);

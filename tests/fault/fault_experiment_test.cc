@@ -82,24 +82,23 @@ TEST(FaultExperiment, DiskFaultsSlowTheRunButPreserveOutput)
     }
 }
 
-TEST(FaultExperiment, NetFaultsAgreeAcrossEnginesAndSchedulers)
+TEST(FaultExperiment, NetFaultsAgreeAcrossJobs)
 {
-    // The retransmit machinery sits above the transfer engine, so a
-    // faulted run must produce one simulated timeline under both.
+    // Drop and corrupt decisions are stateless draws, so a faulted
+    // run must produce one simulated timeline whether it runs alone
+    // or beside a twin on the parallel runner's worker threads.
     for (Arch arch : {Arch::ActiveDisk, Arch::Cluster}) {
         auto config = baseConfig(arch, TaskKind::Select, 4);
         auto faultFree = core::runExperiment(config);
         config.faults = "seed=7,net.drop.rate=0.3,net.corrupt.rate=0.1";
 
-        std::vector<tasks::TaskResult> results;
-        for (auto xfer :
-             {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-            config.xfer = xfer;
-            results.push_back(core::runExperiment(config));
-        }
+        std::vector<tasks::TaskResult> results{
+            core::runExperiment(config)};
+        for (const auto &r : core::runExperiments({config, config}, 2))
+            results.push_back(r);
         for (std::size_t i = 1; i < results.size(); ++i) {
             EXPECT_EQ(results[i].elapsedTicks, results[0].elapsedTicks)
-                << core::archName(arch) << " combo " << i;
+                << core::archName(arch) << " run " << i;
             EXPECT_EQ(results[i].outputBytes, results[0].outputBytes);
         }
         // Retransmits and backoffs only ever add time, and at these

@@ -1,8 +1,7 @@
 /**
  * @file Traffic driver behavior: determinism of the timeline across
- * the host-side transfer-engine knob, open- and
- * closed-loop smoke on all three architectures, admission control,
- * and faulted-plan stability.
+ * repeat runs, open- and closed-loop smoke on all three
+ * architectures, admission control, and faulted-plan stability.
  */
 
 #include <gtest/gtest.h>
@@ -63,23 +62,18 @@ TEST(TrafficDriver, OpenLoopSmokeOnEveryArchitecture)
 
 TEST(TrafficDriver, TimelineIsBitIdenticalAcrossHostKnobs)
 {
-    ExperimentConfig base = configFor(Arch::ActiveDisk, kOpenSpec);
-    TrafficResult ref = traffic::runTraffic(base);
+    ExperimentConfig config = configFor(Arch::ActiveDisk, kOpenSpec);
+    TrafficResult ref = traffic::runTraffic(config);
     ASSERT_GT(ref.completed, 0u);
 
-    for (auto xfer : {bus::XferPolicy::Calendar, bus::XferPolicy::Coro}) {
-        ExperimentConfig config = base;
-        config.xfer = xfer;
-        TrafficResult got = traffic::runTraffic(config);
-        EXPECT_EQ(got.fingerprint, ref.fingerprint)
-            << bus::xferPolicyName(xfer);
-        EXPECT_EQ(got.completed, ref.completed);
-        EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
-        ASSERT_EQ(got.classes.size(), ref.classes.size());
-        for (std::size_t c = 0; c < ref.classes.size(); ++c) {
-            EXPECT_EQ(got.classes[c].p50, ref.classes[c].p50);
-            EXPECT_EQ(got.classes[c].p99, ref.classes[c].p99);
-        }
+    TrafficResult got = traffic::runTraffic(config);
+    EXPECT_EQ(got.fingerprint, ref.fingerprint);
+    EXPECT_EQ(got.completed, ref.completed);
+    EXPECT_EQ(got.lastCompletion, ref.lastCompletion);
+    ASSERT_EQ(got.classes.size(), ref.classes.size());
+    for (std::size_t c = 0; c < ref.classes.size(); ++c) {
+        EXPECT_EQ(got.classes[c].p50, ref.classes[c].p50);
+        EXPECT_EQ(got.classes[c].p99, ref.classes[c].p99);
     }
 }
 
@@ -158,11 +152,8 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
     ExperimentConfig config = configFor(Arch::Cluster, kOpenSpec);
     config.faults = "seed=11,disk.media.rate=5e-3,"
                     "net.drop.rate=1e-3";
-    config.xfer = bus::XferPolicy::Calendar;
     TrafficResult a = traffic::runTraffic(config);
-    ExperimentConfig other = config;
-    other.xfer = bus::XferPolicy::Coro;
-    TrafficResult b = traffic::runTraffic(other);
+    TrafficResult b = traffic::runTraffic(config);
     EXPECT_GT(a.completed, 0u);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.lastCompletion, b.lastCompletion);
@@ -181,11 +172,9 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     // A death mid-window: queries whose first attempt spans the
     // death instant retry exactly once, everything completes, and
     // which queries retried is a pure function of the plan — so the
-    // retried count and the timeline are identical across host
-    // knobs.
+    // retried count and the timeline are identical across runs.
     ExperimentConfig config = configFor(Arch::ActiveDisk, kOpenSpec);
     config.faults = "stop.disk=1,stop.at.ms=30,hb.period.ms=2";
-    config.xfer = bus::XferPolicy::Coro;
     TrafficResult a = traffic::runTraffic(config);
     EXPECT_EQ(a.completed, a.submitted);
     EXPECT_GT(a.retried, 0u);
@@ -193,9 +182,7 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     // more, so retried can never exceed completed.
     EXPECT_LE(a.retried, a.completed);
 
-    ExperimentConfig other = config;
-    other.xfer = bus::XferPolicy::Calendar;
-    TrafficResult b = traffic::runTraffic(other);
+    TrafficResult b = traffic::runTraffic(config);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.retried, b.retried);
     EXPECT_EQ(a.lastCompletion, b.lastCompletion);
@@ -211,14 +198,11 @@ TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)
                      "duration.ms=80,max.inflight=1,slo.ms=15,"
                      "mix.select=1,cap.select=0.002";
     config.faults = "stop.disk=1,stop.at.ms=10,hb.period.ms=2";
-    config.xfer = bus::XferPolicy::Calendar;
     TrafficResult a = traffic::runTraffic(config);
     EXPECT_GT(a.shed, 0u);
     EXPECT_EQ(a.completed + a.shed, a.submitted);
 
-    ExperimentConfig other = config;
-    other.xfer = bus::XferPolicy::Coro;
-    TrafficResult b = traffic::runTraffic(other);
+    TrafficResult b = traffic::runTraffic(config);
     EXPECT_EQ(a.shed, b.shed);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
