@@ -11,7 +11,7 @@
 #include "diskos/active_disk_array.hh"
 #include "net/network.hh"
 #include "sim/simulator.hh"
-#include "tasks/ad_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -73,7 +73,7 @@ BM_ActiveDiskSelect16(benchmark::State &state)
         Simulator sim;
         diskos::ActiveDiskArray machine(
             sim, 16, disk::DiskSpec::seagateSt39102());
-        tasks::AdTaskRunner runner(sim, machine);
+        tasks::TaskRunner runner(sim, machine);
         auto data = workload::DatasetSpec::forTask(
             workload::TaskKind::Select);
         auto result = runner.run(workload::TaskKind::Select, data);

@@ -12,7 +12,7 @@
 
 #include "diskos/active_disk_array.hh"
 #include "sim/simulator.hh"
-#include "tasks/ad_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -31,7 +31,7 @@ main(int argc, char **argv)
     sim::Simulator simulator;
     diskos::ActiveDiskArray machine(simulator, ndisks,
                                     disk::DiskSpec::seagateSt39102());
-    tasks::AdTaskRunner runner(simulator, machine);
+    tasks::TaskRunner runner(simulator, machine);
 
     auto data = workload::DatasetSpec::forTask(
         workload::TaskKind::Select);

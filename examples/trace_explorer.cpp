@@ -22,7 +22,7 @@
 #include "diskos/active_disk_array.hh"
 #include "obs/obs.hh"
 #include "sim/simulator.hh"
-#include "tasks/ad_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -67,7 +67,7 @@ main(int argc, char **argv)
     std::vector<disk::TraceRecord> trace;
     machine.drive(0).traceTo(&trace);
 
-    tasks::AdTaskRunner runner(simulator, machine);
+    tasks::TaskRunner runner(simulator, machine);
     auto data = workload::DatasetSpec::forTask(
         workload::TaskKind::Sort);
     auto result = runner.run(workload::TaskKind::Sort, data);

@@ -16,9 +16,8 @@
 #include "sim/simulator.hh"
 #include "workload/task_kind.hh"
 #include "smp/smp_machine.hh"
-#include "tasks/ad_tasks.hh"
-#include "tasks/cluster_tasks.hh"
 #include "tasks/smp_tasks.hh"
+#include "tasks/task_runner.hh"
 
 namespace howsim::core
 {
@@ -254,7 +253,7 @@ runExperiment(const ExperimentConfig &config)
         AvailabilityRig<AdAvailability, diskos::ActiveDiskArray> rig(
             simulator, faultScope.injector(), machine,
             data.inputBytes, config.scale);
-        tasks::AdTaskRunner runner(simulator, machine, config.costs);
+        tasks::TaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());
@@ -271,8 +270,7 @@ runExperiment(const ExperimentConfig &config)
         AvailabilityRig<ClusterAvailability, arch::ClusterMachine>
             rig(simulator, faultScope.injector(), machine,
                 data.inputBytes, config.scale);
-        tasks::ClusterTaskRunner runner(simulator, machine,
-                                        config.costs);
+        tasks::TaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());

@@ -41,9 +41,8 @@
 #include "smp/smp_machine.hh"
 
 // Workload and tasks
-#include "tasks/ad_tasks.hh"
-#include "tasks/cluster_tasks.hh"
 #include "tasks/smp_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/cost_model.hh"
 #include "workload/dataset.hh"
 

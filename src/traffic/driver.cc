@@ -14,9 +14,8 @@
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "smp/smp_machine.hh"
-#include "tasks/ad_tasks.hh"
-#include "tasks/cluster_tasks.hh"
 #include "tasks/smp_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "traffic/policy.hh"
 
 namespace howsim::traffic
@@ -39,11 +38,10 @@ const std::uint64_t kThinkSite = fault::siteId("traffic.think");
 constexpr std::uint64_t kRetryStreamOffset = 1 << 18;
 
 /**
- * Executes one admitted query on the shared machine. One
- * implementation per architecture; each call builds a fresh runner
- * instance (per-query isolation) keyed to the query's stream
- * (qid + 1). Returns the task's logical output bytes — the
- * quantity the retry protocol asserts is attempt-invariant.
+ * Executes one admitted query on the shared machine. Each call
+ * builds a fresh runner instance (per-query isolation) keyed to the
+ * query's stream (qid + 1). Returns the task's logical output bytes
+ * — the quantity the retry protocol asserts is attempt-invariant.
  */
 class QueryExec
 {
@@ -55,11 +53,12 @@ class QueryExec
         const workload::DatasetSpec &data) = 0;
 };
 
-class AdExec final : public QueryExec
+/** Runs each query on a fresh @p Runner over the shared machine. */
+template <typename Runner, typename Machine>
+class RunnerExec final : public QueryExec
 {
   public:
-    AdExec(sim::Simulator &s, diskos::ActiveDiskArray &m,
-           workload::CostModel c)
+    RunnerExec(sim::Simulator &s, Machine &m, workload::CostModel c)
         : simulator(s), machine(m), cm(c)
     {
     }
@@ -68,7 +67,7 @@ class AdExec final : public QueryExec
     run(std::uint64_t qid, double memShare, workload::TaskKind kind,
         const workload::DatasetSpec &data) override
     {
-        tasks::AdTaskRunner runner(simulator, machine, cm);
+        Runner runner(simulator, machine, cm);
         runner.setStream(static_cast<int>(qid) + 1);
         runner.setMemoryShare(memShare);
         co_await runner.runConcurrent(kind, data);
@@ -78,61 +77,7 @@ class AdExec final : public QueryExec
 
   private:
     sim::Simulator &simulator;
-    diskos::ActiveDiskArray &machine;
-    workload::CostModel cm;
-};
-
-class ClusterExec final : public QueryExec
-{
-  public:
-    ClusterExec(sim::Simulator &s, arch::ClusterMachine &m,
-                workload::CostModel c)
-        : simulator(s), machine(m), cm(c)
-    {
-    }
-
-    sim::Coro<std::uint64_t>
-    run(std::uint64_t qid, double memShare, workload::TaskKind kind,
-        const workload::DatasetSpec &data) override
-    {
-        tasks::ClusterTaskRunner runner(simulator, machine, cm);
-        runner.setStream(static_cast<int>(qid) + 1);
-        runner.setMemoryShare(memShare);
-        co_await runner.runConcurrent(kind, data);
-        runner.retireStream();
-        co_return runner.lastResult().outputBytes;
-    }
-
-  private:
-    sim::Simulator &simulator;
-    arch::ClusterMachine &machine;
-    workload::CostModel cm;
-};
-
-class SmpExec final : public QueryExec
-{
-  public:
-    SmpExec(sim::Simulator &s, smp::SmpMachine &m,
-            workload::CostModel c)
-        : simulator(s), machine(m), cm(c)
-    {
-    }
-
-    sim::Coro<std::uint64_t>
-    run(std::uint64_t qid, double memShare, workload::TaskKind kind,
-        const workload::DatasetSpec &data) override
-    {
-        tasks::SmpTaskRunner runner(simulator, machine, cm);
-        runner.setStream(static_cast<int>(qid) + 1);
-        runner.setMemoryShare(memShare);
-        co_await runner.runConcurrent(kind, data);
-        runner.retireStream();
-        co_return runner.lastResult().outputBytes;
-    }
-
-  private:
-    sim::Simulator &simulator;
-    smp::SmpMachine &machine;
+    Machine &machine;
     workload::CostModel cm;
 };
 
@@ -552,7 +497,8 @@ runTraffic(const core::ExperimentConfig &config,
         params.frontendCpuMhz = config.adFrontendMhz;
         diskos::ActiveDiskArray machine(simulator, config.scale,
                                         config.drive, params);
-        AdExec exec(simulator, machine, config.costs);
+        RunnerExec<tasks::TaskRunner, diskos::ActiveDiskArray> exec(
+            simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
         if (obsSession)
@@ -562,7 +508,8 @@ runTraffic(const core::ExperimentConfig &config,
       case core::Arch::Cluster: {
         arch::ClusterMachine machine(simulator, config.scale,
                                      config.drive);
-        ClusterExec exec(simulator, machine, config.costs);
+        RunnerExec<tasks::TaskRunner, arch::ClusterMachine> exec(
+            simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
         if (obsSession)
@@ -575,7 +522,8 @@ runTraffic(const core::ExperimentConfig &config,
         params.fcLoops = config.interconnectLoops;
         smp::SmpMachine machine(simulator, config.scale,
                                 config.scale, config.drive, params);
-        SmpExec exec(simulator, machine, config.costs);
+        RunnerExec<tasks::SmpTaskRunner, smp::SmpMachine> exec(
+            simulator, machine, config.costs);
         auto result = drive(simulator, plan, exec, stops,
                             obsSession.get());
         if (obsSession)

@@ -11,14 +11,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "arch/cluster_machine.hh"
+#include "core/experiment.hh"
 #include "diskos/active_disk_array.hh"
 #include "obs/obs.hh"
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
-#include "tasks/ad_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -44,15 +47,26 @@ class ObsTest : public ::testing::Test
     void TearDown() override { SetUp(); }
 };
 
+/** Run @p kind on @p ndisks devices of an Active Disk or cluster. */
 tasks::TaskResult
-runSort(int ndisks)
+runTask(core::Arch which, TaskKind kind, int ndisks)
 {
     sim::Simulator simulator;
+    auto data = DatasetSpec::forTask(kind);
+    if (which == core::Arch::Cluster) {
+        arch::ClusterMachine machine(simulator, ndisks,
+                                     disk::DiskSpec::seagateSt39102());
+        return tasks::TaskRunner(simulator, machine).run(kind, data);
+    }
     diskos::ActiveDiskArray machine(simulator, ndisks,
                                     disk::DiskSpec::seagateSt39102());
-    tasks::AdTaskRunner runner(simulator, machine);
-    return runner.run(TaskKind::Sort,
-                      DatasetSpec::forTask(TaskKind::Sort));
+    return tasks::TaskRunner(simulator, machine).run(kind, data);
+}
+
+tasks::TaskResult
+runSort(core::Arch which, int ndisks)
+{
+    return runTask(which, TaskKind::Sort, ndisks);
 }
 
 } // namespace
@@ -114,30 +128,64 @@ TEST_F(ObsTest, SpanDurationIsSimulatedTime)
 
 TEST_F(ObsTest, PhaseSpansAgreeWithBreakdownBuckets)
 {
-    obs::Session session("sortspans", {});
-    auto result = runSort(8);
+    for (core::Arch which : {core::Arch::ActiveDisk, core::Arch::Cluster}) {
+        SCOPED_TRACE(core::archName(which));
+        obs::Session session("sortspans", {});
+        auto result = runSort(which, 8);
 
-    const obs::TraceSink &sink = session.trace();
-    double p1 = -1.0, p2 = -1.0;
-    for (const auto &ev : sink.allEvents()) {
-        if (ev.ph != 'X' || sink.trackName(ev.tid) != "phases")
-            continue;
-        if (ev.name == "p1")
-            p1 = sim::toSeconds(ev.dur);
-        else if (ev.name == "p2")
-            p2 = sim::toSeconds(ev.dur);
+        const obs::TraceSink &sink = session.trace();
+        double p1 = -1.0, p2 = -1.0;
+        for (const auto &ev : sink.allEvents()) {
+            if (ev.ph != 'X' || sink.trackName(ev.tid) != "phases")
+                continue;
+            if (ev.name == "p1")
+                p1 = sim::toSeconds(ev.dur);
+            else if (ev.name == "p2")
+                p2 = sim::toSeconds(ev.dur);
+        }
+        // The spans bracket exactly what the Figure 3 buckets measure.
+        EXPECT_DOUBLE_EQ(p1, result.buckets.get("p1.elapsed"));
+        EXPECT_DOUBLE_EQ(p2, result.buckets.get("p2.elapsed"));
+        EXPECT_GT(p1, 0.0);
+        EXPECT_GT(p2, 0.0);
     }
-    // The spans bracket exactly what the Figure 3 buckets measure.
-    EXPECT_DOUBLE_EQ(p1, result.buckets.get("p1.elapsed"));
-    EXPECT_DOUBLE_EQ(p2, result.buckets.get("p2.elapsed"));
-    EXPECT_GT(p1, 0.0);
-    EXPECT_GT(p2, 0.0);
+}
+
+TEST_F(ObsTest, FineDetailTracesComputeOnEachDeviceCpu)
+{
+    struct Case
+    {
+        core::Arch which;
+        const char *trackPrefix;
+        const char *category;
+    };
+    for (const Case &c : {Case{core::Arch::ActiveDisk, "ad", "disklet"},
+                          Case{core::Arch::Cluster, "h", "compute"}}) {
+        SCOPED_TRACE(core::archName(c.which));
+        obs::Session::Options opts;
+        opts.detail = obs::Detail::Fine;
+        obs::Session session("finecompute", opts);
+        runTask(c.which, TaskKind::Select, 4);
+
+        const obs::TraceSink &sink = session.trace();
+        std::set<std::string> tracks;
+        for (const auto &ev : sink.allEvents()) {
+            if (ev.ph != 'X' || ev.name != "scan.cpu")
+                continue;
+            EXPECT_EQ(std::string(ev.cat), c.category);
+            tracks.insert(sink.trackName(ev.tid));
+        }
+        std::set<std::string> expected;
+        for (int d = 0; d < 4; ++d)
+            expected.insert(c.trackPrefix + std::to_string(d) + ".cpu");
+        EXPECT_EQ(tracks, expected);
+    }
 }
 
 TEST_F(ObsTest, DiskMetricsAccountForTheRun)
 {
     obs::Session session("diskmetrics", {});
-    runSort(8);
+    runSort(core::Arch::ActiveDisk, 8);
     obs::MetricRegistry &metrics = session.metrics();
     std::uint64_t requests = metrics.counter("ad0.requests").value();
     EXPECT_GT(requests, 0u);
@@ -150,11 +198,11 @@ TEST_F(ObsTest, DiskMetricsAccountForTheRun)
 
 TEST_F(ObsTest, ObservabilityDoesNotPerturbSimulatedTime)
 {
-    auto bare = runSort(8);
+    auto bare = runSort(core::Arch::ActiveDisk, 8);
     sim::Tick observed_ticks = 0;
     {
         obs::Session session("perturb", {});
-        observed_ticks = runSort(8).elapsedTicks;
+        observed_ticks = runSort(core::Arch::ActiveDisk, 8).elapsedTicks;
     }
     EXPECT_EQ(bare.elapsedTicks, observed_ticks);
 }

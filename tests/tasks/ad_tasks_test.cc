@@ -4,7 +4,7 @@
 
 #include "diskos/active_disk_array.hh"
 #include "sim/simulator.hh"
-#include "tasks/ad_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -21,7 +21,7 @@ runAd(TaskKind kind, int ndisks, diskos::AdParams params = {})
     diskos::ActiveDiskArray machine(simulator, ndisks,
                                     disk::DiskSpec::seagateSt39102(),
                                     params);
-    tasks::AdTaskRunner runner(simulator, machine);
+    tasks::TaskRunner runner(simulator, machine);
     return runner.run(kind, DatasetSpec::forTask(kind));
 }
 
@@ -150,4 +150,24 @@ TEST(AdTasks, FrontendClockMattersWhenRestricted)
     double slow = runAd(TaskKind::Sort, 8, slow_fe).seconds();
     double fast = runAd(TaskKind::Sort, 8, fast_fe).seconds();
     EXPECT_LT(fast, slow);
+}
+
+TEST(AdTasks, MviewAppliesPerRelationTupleCount)
+{
+    // Delta and semi-join rows are separate relations, each floored
+    // per drive: at 5 drives that is 20,132,658 tuples per drive, one
+    // fewer than flooring their sum.
+    sim::Simulator simulator;
+    diskos::ActiveDiskArray machine(simulator, 5,
+                                    disk::DiskSpec::seagateSt39102());
+    tasks::TaskRunner runner(simulator, machine);
+    auto result = runner.run(TaskKind::Mview,
+                             DatasetSpec::forTask(TaskKind::Mview));
+    const auto cm = workload::CostModel::calibrated();
+    double expected = 0.0;
+    for (int d = 0; d < 5; ++d) {
+        expected += sim::toSeconds(
+            machine.cpu(d).scaled(20'132'658 * cm.mviewDeltaApply));
+    }
+    EXPECT_EQ(result.buckets.get("p3.apply"), expected);
 }

@@ -4,7 +4,7 @@
 
 #include "arch/cluster_machine.hh"
 #include "sim/simulator.hh"
-#include "tasks/cluster_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
 using namespace howsim;
@@ -20,7 +20,7 @@ runCluster(TaskKind kind, int nnodes)
     sim::Simulator simulator;
     arch::ClusterMachine machine(simulator, nnodes,
                                  disk::DiskSpec::seagateSt39102());
-    tasks::ClusterTaskRunner runner(simulator, machine);
+    tasks::TaskRunner runner(simulator, machine);
     return runner.run(kind, DatasetSpec::forTask(kind));
 }
 
@@ -88,4 +88,23 @@ TEST(ClusterTasks, ScanScalesWithNodes)
     double t8 = runCluster(TaskKind::Aggregate, 8).seconds();
     double t16 = runCluster(TaskKind::Aggregate, 16).seconds();
     EXPECT_NEAR(t8 / t16, 2.0, 0.3);
+}
+
+TEST(ClusterTasks, MviewAppliesPerRelationTupleCount)
+{
+    // The same per-relation tuple count as on Active Disks: at 5
+    // nodes, 20,132,658 tuples per node.
+    sim::Simulator simulator;
+    arch::ClusterMachine machine(simulator, 5,
+                                 disk::DiskSpec::seagateSt39102());
+    tasks::TaskRunner runner(simulator, machine);
+    auto result = runner.run(TaskKind::Mview,
+                             DatasetSpec::forTask(TaskKind::Mview));
+    const auto cm = workload::CostModel::calibrated();
+    double expected = 0.0;
+    for (int n = 0; n < 5; ++n) {
+        expected += sim::toSeconds(
+            machine.cpu(n).scaled(20'132'658 * cm.mviewDeltaApply));
+    }
+    EXPECT_EQ(result.buckets.get("p3.apply"), expected);
 }

@@ -18,9 +18,8 @@
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
 #include "smp/smp_machine.hh"
-#include "tasks/ad_tasks.hh"
-#include "tasks/cluster_tasks.hh"
 #include "tasks/smp_tasks.hh"
+#include "tasks/task_runner.hh"
 #include "traffic/plan.hh"
 
 using namespace howsim;
@@ -145,10 +144,9 @@ TEST(ReentrantRunners, AdInterleavedMatchesSerialPerQuery)
     for (TaskKind kind : {TaskKind::Select, TaskKind::GroupBy}) {
         auto data = traffic::scaledDataset(kind, 0.002);
         auto two = interleaved<diskos::ActiveDiskArray,
-                               tasks::AdTaskRunner>(kind, data,
-                                                    buildAd);
-        auto one = serial<diskos::ActiveDiskArray,
-                          tasks::AdTaskRunner>(kind, data, buildAd);
+                               tasks::TaskRunner>(kind, data, buildAd);
+        auto one = serial<diskos::ActiveDiskArray, tasks::TaskRunner>(
+            kind, data, buildAd);
         expectSameWork(one, two.first, "ad first");
         expectSameWork(one, two.second, "ad second");
     }
@@ -158,12 +156,10 @@ TEST(ReentrantRunners, ClusterInterleavedMatchesSerialPerQuery)
 {
     for (TaskKind kind : {TaskKind::Select, TaskKind::GroupBy}) {
         auto data = traffic::scaledDataset(kind, 0.002);
-        auto two = interleaved<arch::ClusterMachine,
-                               tasks::ClusterTaskRunner>(
+        auto two = interleaved<arch::ClusterMachine, tasks::TaskRunner>(
             kind, data, buildCluster);
-        auto one
-            = serial<arch::ClusterMachine, tasks::ClusterTaskRunner>(
-                kind, data, buildCluster);
+        auto one = serial<arch::ClusterMachine, tasks::TaskRunner>(
+            kind, data, buildCluster);
         expectSameWork(one, two.first, "cluster first");
         expectSameWork(one, two.second, "cluster second");
     }
@@ -186,12 +182,10 @@ TEST(ReentrantRunners, SmpInterleavedMatchesSerialPerQuery)
 TEST(ReentrantRunners, InterleavedTimelineIsReproducible)
 {
     auto data = traffic::scaledDataset(TaskKind::Select, 0.002);
-    auto a = interleaved<diskos::ActiveDiskArray,
-                         tasks::AdTaskRunner>(TaskKind::Select, data,
-                                              buildAd);
-    auto b = interleaved<diskos::ActiveDiskArray,
-                         tasks::AdTaskRunner>(TaskKind::Select, data,
-                                              buildAd);
+    auto a = interleaved<diskos::ActiveDiskArray, tasks::TaskRunner>(
+        TaskKind::Select, data, buildAd);
+    auto b = interleaved<diskos::ActiveDiskArray, tasks::TaskRunner>(
+        TaskKind::Select, data, buildAd);
     EXPECT_EQ(a.first.elapsedTicks, b.first.elapsedTicks);
     EXPECT_EQ(a.second.elapsedTicks, b.second.elapsedTicks);
     // Contention is real: the interleaved queries overlap in time.
