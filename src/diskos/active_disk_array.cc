@@ -327,59 +327,6 @@ ActiveDiskArray::relayViaFrontend(int dst, std::uint64_t bytes)
 }
 
 sim::Coro<void>
-ActiveDiskArray::sendFeLeg(int src, int dst, int stream,
-                           AdBlock *block, sim::Trigger *acked)
-{
-    std::uint64_t bytes = block->bytes;
-    // First crossing reaches the peer directly or lands at the
-    // front-end for relay, depending on the architecture.
-    if (faultInj)
-        co_await loopTransfer(src, adParams.directD2d ? dst : -1,
-                              bytes);
-    else
-        co_await fc->transfer(bytes);
-    if (!adParams.directD2d)
-        co_await relayViaFrontend(dst, bytes);
-    ActiveDiskArray *self = this;
-    simulator.postKeyed(
-        simulator.now() + crossLatency(), feKeys.next(),
-        [self, dst, stream, block, acked] {
-            self->simulator.spawnDetached(
-                self->deliverLeg(dst, stream, block, acked),
-                "addeliver");
-        });
-}
-
-sim::Coro<void>
-ActiveDiskArray::deliverLeg(int dst, int stream, AdBlock *block,
-                            sim::Trigger *acked)
-{
-    drives[static_cast<std::size_t>(dst)].stats.bytesReceived
-        += block->bytes;
-    co_await inbox(dst, stream).send(std::move(*block));
-    simulator.postKeyed(simulator.now() + crossLatency(),
-                        driveKeys[static_cast<std::size_t>(dst)].next(),
-                        [acked] { acked->fire(); });
-}
-
-sim::Coro<void>
-ActiveDiskArray::feIngestLeg(int src, int stream, AdBlock *block,
-                             sim::Trigger *acked)
-{
-    std::uint64_t bytes = block->bytes;
-    if (faultInj)
-        co_await loopTransfer(src, -1, bytes);
-    else
-        co_await fc->transfer(bytes);
-    // Ingest copy into front-end memory.
-    co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
-    feStats.bytesIngested += bytes;
-    co_await frontendInbox(stream).send(std::move(*block));
-    simulator.postKeyed(simulator.now() + crossLatency(), feKeys.next(),
-                        [acked] { acked->fire(); });
-}
-
-sim::Coro<void>
 ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
 {
     if (src < 0 || src >= size() || dst < 0 || dst >= size())
@@ -395,26 +342,28 @@ ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
     auto &from = drives[static_cast<std::size_t>(psrc)];
     std::uint64_t bytes = block.bytes;
 
-    co_await from.commBuffers->acquire();
     // Keyed handshake: the request hops to the loop/front-end, the
     // transfer (and relay) runs there, the block hops to the
-    // destination drive, and the ack releases this frame — the
-    // DiskOS stream buffer is held until the block is enqueued at the
-    // destination (flow control covers the whole flight). The block
-    // and trigger live in this suspended frame.
-    sim::Trigger acked;
-    AdBlock *blockPtr = &block;
-    sim::Trigger *ackedPtr = &acked;
-    ActiveDiskArray *self = this;
-    simulator.postKeyed(
-        simulator.now() + crossLatency(),
-        driveKeys[static_cast<std::size_t>(src)].next(),
-        [self, src, dst, stream, blockPtr, ackedPtr] {
-            self->simulator.spawnDetached(
-                self->sendFeLeg(src, dst, stream, blockPtr, ackedPtr),
-                "adsend");
-        });
-    co_await acked.wait();
+    // destination drive, and the ack hops back. The DiskOS stream
+    // buffer is held until the ack lands, so flow control covers the
+    // whole flight.
+    co_await from.commBuffers->acquire();
+    co_await simulator.hop(crossLatency(),
+                           driveKeys[static_cast<std::size_t>(src)]);
+    // The first crossing reaches the peer directly or lands at the
+    // front-end for relay, depending on the architecture.
+    if (faultInj)
+        co_await loopTransfer(src, adParams.directD2d ? dst : -1,
+                              bytes);
+    else
+        co_await fc->transfer(bytes);
+    if (!adParams.directD2d)
+        co_await relayViaFrontend(dst, bytes);
+    co_await simulator.hop(crossLatency(), feKeys);
+    drives[static_cast<std::size_t>(dst)].stats.bytesReceived += bytes;
+    co_await inbox(dst, stream).send(std::move(block));
+    co_await simulator.hop(crossLatency(),
+                           driveKeys[static_cast<std::size_t>(dst)]);
     from.commBuffers->release();
     from.stats.bytesSent += bytes;
 }
@@ -432,19 +381,17 @@ ActiveDiskArray::sendToFrontend(int src, AdBlock block, int stream)
     std::uint64_t bytes = block.bytes;
 
     co_await from.commBuffers->acquire();
-    sim::Trigger acked;
-    AdBlock *blockPtr = &block;
-    sim::Trigger *ackedPtr = &acked;
-    ActiveDiskArray *self = this;
-    simulator.postKeyed(
-        simulator.now() + crossLatency(),
-        driveKeys[static_cast<std::size_t>(src)].next(),
-        [self, src, stream, blockPtr, ackedPtr] {
-            self->simulator.spawnDetached(
-                self->feIngestLeg(src, stream, blockPtr, ackedPtr),
-                "adingest");
-        });
-    co_await acked.wait();
+    co_await simulator.hop(crossLatency(),
+                           driveKeys[static_cast<std::size_t>(src)]);
+    if (faultInj)
+        co_await loopTransfer(src, -1, bytes);
+    else
+        co_await fc->transfer(bytes);
+    // Ingest copy into front-end memory.
+    co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
+    feStats.bytesIngested += bytes;
+    co_await frontendInbox(stream).send(std::move(block));
+    co_await simulator.hop(crossLatency(), feKeys);
     from.commBuffers->release();
     from.stats.bytesSent += bytes;
 }
@@ -456,25 +403,18 @@ ActiveDiskArray::frontendSend(int dst, AdBlock block, int stream)
         panic("ActiveDiskArray::frontendSend: bad destination %d", dst);
     block.src = -1;
     std::uint64_t bytes = block.bytes;
-    // Copy-out and crossing run here, at the front-end; only the
-    // delivery leg hops to the drive.
+    // Copy-out and crossing run at the front-end; the block then hops
+    // to the drive and the ack hops back.
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
     if (faultInj)
         co_await loopTransfer(-1, dst, bytes);
     else
         co_await fc->transfer(bytes);
-    sim::Trigger acked;
-    AdBlock *blockPtr = &block;
-    sim::Trigger *ackedPtr = &acked;
-    ActiveDiskArray *self = this;
-    simulator.postKeyed(
-        simulator.now() + crossLatency(), feKeys.next(),
-        [self, dst, stream, blockPtr, ackedPtr] {
-            self->simulator.spawnDetached(
-                self->deliverLeg(dst, stream, blockPtr, ackedPtr),
-                "addeliver");
-        });
-    co_await acked.wait();
+    co_await simulator.hop(crossLatency(), feKeys);
+    drives[static_cast<std::size_t>(dst)].stats.bytesReceived += bytes;
+    co_await inbox(dst, stream).send(std::move(block));
+    co_await simulator.hop(crossLatency(),
+                           driveKeys[static_cast<std::size_t>(dst)]);
 }
 
 sim::Coro<void>

@@ -224,34 +224,6 @@ class ActiveDiskArray
                                  std::uint64_t bytes);
 
     /**
-     * @name Keyed send-protocol legs (DESIGN.md §14)
-     *
-     * A send is a chain of detached coroutines — the sending drive,
-     * the loop/front-end, the receiving drive — stitched together by
-     * keyed events one crossLatency() hop apart. The AdBlock and the
-     * completion trigger live in the originating coroutine's
-     * suspended frame.
-     */
-    /** @{ */
-
-    /** Loop/front-end leg of a drive-to-drive send. */
-    sim::Coro<void> sendFeLeg(int src, int dst, int stream,
-                              AdBlock *block, sim::Trigger *acked);
-
-    /**
-     * Destination-drive leg: count the bytes, enqueue into the inbox
-     * (blocking on flow control), then ack to the sender.
-     */
-    sim::Coro<void> deliverLeg(int dst, int stream, AdBlock *block,
-                               sim::Trigger *acked);
-
-    /** Front-end leg of sendToFrontend: transfer, copy, ingest. */
-    sim::Coro<void> feIngestLeg(int src, int stream, AdBlock *block,
-                                sim::Trigger *acked);
-
-    /** @} */
-
-    /**
      * Fail-stop takeover routing: the physical drive that serves an
      * operation addressed to @p d right now. A live drive serves
      * itself. An operation addressed to a dead drive stalls until the
@@ -293,7 +265,7 @@ class ActiveDiskArray
     fault::StopSchedule stopSched;
     fault::Injector *stopInj = nullptr;
 
-    // Keyed send-protocol streams: driveKeys[d] keys drive d's posts,
+    // Keyed send-protocol streams: driveKeys[d] keys drive d's hops,
     // feKeys the loop/front-end's (allocation order fixed in the ctor).
     std::vector<sim::KeyStream> driveKeys;
     sim::KeyStream feKeys;

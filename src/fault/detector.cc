@@ -42,22 +42,12 @@ Detector::start()
 {
     if (sched.empty())
         return;
-    if (inj.plan().hbPeriod > 0) {
-        // Monitor every device, not just the victims: the probe
-        // traffic of healthy devices is part of the interconnect
-        // load, and a fail-slow (but alive) device must be seen to
-        // keep its lease — the false-positive bound detector_test
-        // pins.
-        for (int d = 0; d < transport.deviceCount(); ++d) {
-            simulator.spawn(monitor(d), strprintf("hb.monitor%d", d));
-        }
-    } else {
-        // hb.period.ms=0: legacy fixed-lease timers, victims only.
-        for (const StopSchedule::Victim &v : sched.victims) {
-            simulator.spawn(fixedLease(v.device),
-                            strprintf("hb.lease%d", v.device));
-        }
-    }
+    // Monitor every device, not just the victims: the probe traffic
+    // of healthy devices is part of the interconnect load, and a
+    // fail-slow (but alive) device must be seen to keep its lease —
+    // the false-positive bound detector_test pins.
+    for (int d = 0; d < transport.deviceCount(); ++d)
+        simulator.spawn(monitor(d), strprintf("hb.monitor%d", d));
 }
 
 void
@@ -81,14 +71,8 @@ Detector::noteRejoin(int device)
         ++idx;
     if (rebuildBytes == 0)
         return;
-    // Start the rebuild loop one keyed hop later (DESIGN.md §14).
-    sim::Tick when = simulator.now() + transport.crossLatency();
-    simulator.postKeyed(when, rebuildKeys[idx].next(),
-                        [this, device] {
-                            simulator.spawnDetached(
-                                rebuild(device),
-                                strprintf("rebuild%d", device));
-                        });
+    simulator.spawnDetached(rebuild(device, rebuildKeys[idx]),
+                            strprintf("rebuild%d", device));
 }
 
 sim::Coro<void>
@@ -138,24 +122,11 @@ Detector::monitor(int device)
 }
 
 sim::Coro<void>
-Detector::fixedLease(int victim)
+Detector::rebuild(int victim, sim::KeyStream &keys)
 {
-    const StopSchedule::Victim *v = sched.victimOf(victim);
-    sim::Tick declareAt = v->stopAt + sched.lease;
-    if (declareAt > simulator.now())
-        co_await sim::delay(declareAt - simulator.now());
-    declareDead(victim, simulator.now());
-    if (v->rejoins()) {
-        if (v->restartAt > simulator.now())
-            co_await sim::delay(v->restartAt - simulator.now());
-        noteRejoin(victim);
-    }
-    --watchRemaining;
-}
-
-sim::Coro<void>
-Detector::rebuild(int victim)
-{
+    // The rebuild loop starts one keyed hop after the rejoin was seen
+    // (DESIGN.md §14).
+    co_await simulator.hop(transport.crossLatency(), keys);
     double rate = inj.plan().rebuildRateMBs * 1e6;
     for (std::uint64_t off = 0; off < rebuildBytes;
          off += kRebuildChunkBytes) {

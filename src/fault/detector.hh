@@ -131,10 +131,7 @@ class Detector
     Detector(const Detector &) = delete;
     Detector &operator=(const Detector &) = delete;
 
-    /**
-     * Spawn one monitor per device (or, with hb.period.ms=0, one
-     * fixed lease timer per victim). Call before the simulator runs.
-     */
+    /** Spawn one monitor per device. Call before the simulator runs. */
     void start();
 
     /** Observations; read after Simulator::run() returns. */
@@ -142,8 +139,7 @@ class Detector
 
   private:
     sim::Coro<void> monitor(int device);
-    sim::Coro<void> fixedLease(int victim);
-    sim::Coro<void> rebuild(int victim);
+    sim::Coro<void> rebuild(int victim, sim::KeyStream &keys);
     void declareDead(int device, sim::Tick now);
     void noteRejoin(int device);
 

@@ -1,6 +1,7 @@
 #include "fault/fault.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "obs/obs.hh"
@@ -39,6 +40,11 @@ parseDouble(const std::string &key, const std::string &value)
     double v = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0')
         fatal("fault spec: %s=\"%s\" is not a number", key.c_str(),
+              value.c_str());
+    // NaN slips past every range check below; infinity overflows the
+    // tick conversions.
+    if (!std::isfinite(v))
+        fatal("fault spec: %s=%s is not finite", key.c_str(),
               value.c_str());
     return v;
 }
@@ -164,16 +170,13 @@ FaultPlan::parse(const std::string &spec)
             if (v <= 0.0)
                 fatal("fault spec: stop.restart.ms=%g must be > 0", v);
             plan.stopRestart = sim::fromSeconds(v * 1e-3);
-        } else if (key == "stop.detect.ms") {
-            double v = parseDouble(key, value);
-            if (v < 0.0)
-                fatal("fault spec: stop.detect.ms=%g must be >= 0", v);
-            plan.stopDetect = sim::fromSeconds(v * 1e-3);
         } else if (key == "hb.period.ms") {
+            // At least one 1 ns tick, so the period is positive in
+            // ticks.
             double v = parseDouble(key, value);
-            if (v < 0.0)
-                fatal("fault spec: hb.period.ms=%g must be >= 0 "
-                      "(0 disables the detector)",
+            if (v < 1e-6)
+                fatal("fault spec: hb.period.ms=%g must be >= 1e-06 "
+                      "(one tick)",
                       v);
             plan.hbPeriod = sim::fromSeconds(v * 1e-3);
         } else if (key == "hb.timeout.x") {
@@ -192,8 +195,7 @@ FaultPlan::parse(const std::string &spec)
                   "disk.media.retries, disk.remap.rate, net.drop.rate, "
                   "net.corrupt.rate, net.retries, net.timeout.us, "
                   "stop.disk, stop.rate, stop.at.ms, stop.restart.ms, "
-                  "stop.detect.ms, hb.period.ms, hb.timeout.x, "
-                  "rebuild.rate.mbs)",
+                  "hb.period.ms, hb.timeout.x, rebuild.rate.mbs)",
                   key.c_str());
         }
     }
@@ -305,8 +307,6 @@ FaultPlan::toString() const
         emit(out, "stop.at.ms", msStr(stopAt));
     if (stopRestart != defaults.stopRestart)
         emit(out, "stop.restart.ms", msStr(stopRestart));
-    if (stopDetect != defaults.stopDetect)
-        emit(out, "stop.detect.ms", msStr(stopDetect));
     if (hbPeriod != defaults.hbPeriod)
         emit(out, "hb.period.ms", msStr(hbPeriod));
     if (hbTimeoutX != defaults.hbTimeoutX)

@@ -94,13 +94,7 @@ struct FaultPlan
     /** Victims rejoin this long after stopping (0 = never). */
     sim::Tick stopRestart = 0;
 
-    /**
-     * Fixed detection-lease fallback, used only when the heartbeat
-     * detector is disabled (hb.period.ms=0).
-     */
-    sim::Tick stopDetect = sim::milliseconds(10);
-
-    /** Heartbeat period of the failure detector (0 = fixed timer). */
+    /** Heartbeat period of the failure detector (at least one tick). */
     sim::Tick hbPeriod = sim::milliseconds(5);
 
     /** Lease = hb.timeout.x missed heartbeat periods (>= 1). */
@@ -132,15 +126,12 @@ struct FaultPlan
 
     /**
      * The detection lease: how stale a device's last heartbeat ack
-     * may be before the front end declares it dead. hb.timeout.x
-     * periods of the heartbeat detector, or the fixed stop.detect.ms
-     * timer when heartbeats are disabled.
+     * may be before the front end declares it dead, hb.timeout.x
+     * heartbeat periods.
      */
     sim::Tick
     leaseTicks() const
     {
-        if (hbPeriod <= 0)
-            return stopDetect;
         return static_cast<sim::Tick>(
             static_cast<double>(hbPeriod) * hbTimeoutX);
     }

@@ -31,7 +31,6 @@
 #include "os/async_io.hh"
 #include "os/cpu.hh"
 #include "os/raw_disk.hh"
-#include "os/striping.hh"
 
 // Machines
 #include "arch/cluster_machine.hh"

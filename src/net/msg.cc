@@ -124,72 +124,31 @@ MsgLayer::send(int src, int dst, Message msg)
         obsBytes->add(msg.bytes);
     }
     co_await sim::delay(msgParams.sendOverhead);
-    if (!keyed || src == dst) {
-        // Direct — or loopback, which never leaves the host (and
-        // sees no injected loss): one frame spans all devices.
-        if (faultInj && src != dst)
-            co_await faultyTransport(src, dst, msg.bytes);
-        else
-            co_await network.transport(src, dst, msg.bytes);
-        int tag = msg.tag;
-        co_await queueFor(dst, tag).send(std::move(msg));
-    } else {
-        // Keyed: hand the message to the fabric one hop out and
-        // resume when the destination's delivery ack lands back. The
-        // message and the trigger stay in this suspended frame.
-        sim::Trigger acked;
-        Message *m = &msg;
-        sim::Trigger *ackedPtr = &acked;
-        MsgLayer *self = this;
-        simulator.postKeyed(
-            simulator.now() + hopLatency,
-            hostKeys[static_cast<std::size_t>(src)].next(),
-            [self, src, dst, m, ackedPtr] {
-                self->simulator.spawnDetached(
-                    self->fabricLeg(src, dst, m, ackedPtr),
-                    "msgfabric");
-            });
-        co_await acked.wait();
+    // Loopback never leaves the host: it takes no hops and sees no
+    // injected loss. A keyed cross-host send hops to the fabric, moves
+    // the bytes there, hops to the destination, and its ack hops back.
+    const bool hops = keyed && src != dst;
+    if (hops) {
+        co_await simulator.hop(hopLatency,
+                               hostKeys[static_cast<std::size_t>(src)]);
+    }
+    if (faultInj && src != dst)
+        co_await faultyTransport(src, dst, msg.bytes);
+    else
+        co_await network.transport(src, dst, msg.bytes);
+    if (hops)
+        co_await simulator.hop(hopLatency, fabricKeys);
+    int tag = msg.tag;
+    co_await queueFor(dst, tag).send(std::move(msg));
+    if (hops) {
+        co_await simulator.hop(hopLatency,
+                               hostKeys[static_cast<std::size_t>(dst)]);
     }
     if (spanId) {
         obsSess->trace().asyncEnd("msg",
                                   strprintf("msg %d->%d", src, dst),
                                   spanId, simulator.now());
     }
-}
-
-sim::Coro<void>
-MsgLayer::fabricLeg(int src, int dst, Message *msg,
-                    sim::Trigger *acked)
-{
-    if (faultInj)
-        co_await faultyTransport(src, dst, msg->bytes);
-    else
-        co_await network.transport(src, dst, msg->bytes);
-    MsgLayer *self = this;
-    simulator.postKeyed(simulator.now() + hopLatency, fabricKeys.next(),
-                        [self, dst, msg, acked] {
-                            self->simulator.spawnDetached(
-                                self->deliverLeg(dst, msg, acked),
-                                "msgdeliver");
-                        });
-}
-
-sim::Coro<void>
-MsgLayer::deliverLeg(int dst, Message *msg, sim::Trigger *acked)
-{
-    int tag = msg->tag;
-    co_await queueFor(dst, tag).send(std::move(*msg));
-    simulator.postKeyed(simulator.now() + hopLatency,
-                        hostKeys[static_cast<std::size_t>(dst)].next(),
-                        [acked] { acked->fire(); });
-}
-
-sim::ProcessRef
-MsgLayer::postSend(int src, int dst, Message msg)
-{
-    return simulator.spawnDetached(send(src, dst, std::move(msg)),
-                                   "isend");
 }
 
 sim::Coro<Message>
@@ -273,7 +232,7 @@ Barrier::useKeyedProtocol(sim::Tick hop)
     for (int i = 0; i < expected; ++i)
         arriveKeys.push_back(simulator.allocKeyStream());
     releaseKeys = simulator.allocKeyStream();
-    arrivals.reserve(static_cast<std::size_t>(expected));
+    parked.reserve(static_cast<std::size_t>(expected));
 }
 
 sim::Coro<void>
@@ -285,62 +244,30 @@ Barrier::arrive(int participant)
         co_await arrive();
         co_return;
     }
-    // The trigger lives in this (suspended) frame; the home stores
-    // the pointer and fires it from the release event.
-    sim::Trigger done;
-    sim::Trigger *donePtr = &done;
-    Barrier *self = this;
-    simulator.postKeyed(simulator.now() + hopLatency,
-                        arriveKeys[static_cast<std::size_t>(participant)]
-                            .next(),
-                        [self, donePtr] { self->homeArrive(donePtr); });
-    co_await done.wait();
+    co_await simulator.hop(hopLatency,
+                           arriveKeys[static_cast<std::size_t>(participant)]);
+    co_await Park{this};
 }
 
 void
-Barrier::homeArrive(sim::Trigger *done)
+Barrier::Park::await_suspend(std::coroutine_handle<> h)
 {
-    arrivals.push_back(done);
-    if (static_cast<int>(arrivals.size()) < expected)
+    std::vector<std::coroutine_handle<>> &parked = barrier->parked;
+    parked.push_back(h);
+    if (static_cast<int>(parked.size()) < barrier->expected)
         return;
     // The last arrival landed at t_last + hopLatency, so releasing
     // at now() - hopLatency + completionCost reproduces arrive()'s
     // tick exactly.
-    sim::Tick releaseAt = simulator.now() - hopLatency + completionCost;
-    ++gen;
-    std::vector<sim::Trigger *> round;
-    round.swap(arrivals);
-    for (sim::Trigger *trig : round)
-        simulator.postKeyed(releaseAt, releaseKeys.next(),
-                            [trig] { trig->fire(); });
-}
-
-AllReduce::AllReduce(sim::Simulator &s, int n, sim::Tick cost, Op op)
-    : simulator(s), expected(n), completionCost(cost),
-      combine(std::move(op)), current(std::make_shared<Round>())
-{
-    if (n <= 0)
-        panic("AllReduce of non-positive size");
-}
-
-sim::Coro<double>
-AllReduce::arrive(double value)
-{
-    auto round = current;
-    if (round->first) {
-        round->acc = value;
-        round->first = false;
-    } else {
-        round->acc = combine(round->acc, value);
+    sim::Simulator &s = barrier->simulator;
+    sim::Tick releaseAt
+        = s.now() - barrier->hopLatency + barrier->completionCost;
+    ++barrier->gen;
+    for (std::coroutine_handle<> waiter : parked) {
+        s.postKeyed(releaseAt, barrier->releaseKeys.next(),
+                    sim::EventQueue::Action(waiter));
     }
-    if (++count == expected) {
-        count = 0;
-        current = std::make_shared<Round>();
-        simulator.scheduleIn(completionCost,
-                             [round] { round->trig.fire(); });
-    }
-    co_await round->trig.wait();
-    co_return round->acc;
+    parked.clear();
 }
 
 } // namespace howsim::net

@@ -3,9 +3,9 @@
  * MPI-like message-passing layer over the switched network.
  *
  * Mirrors the user-space messaging library Howsim's Netsim models:
- * asynchronous point-to-point sends with per-message software
- * overheads, any-source receives (per-tag queues), and global
- * synchronization (barrier, all-reduce) with logarithmic cost.
+ * point-to-point sends with per-message software overheads,
+ * any-source receives (per-tag queues), and a global barrier with
+ * logarithmic cost.
  */
 
 #ifndef HOWSIM_NET_MSG_HH
@@ -13,7 +13,6 @@
 
 #include <any>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -84,12 +83,6 @@ class MsgLayer
     sim::Coro<void> send(int src, int dst, Message msg);
 
     /**
-     * Asynchronous send: the transfer proceeds in the background
-     * (join the returned process to await local completion).
-     */
-    sim::ProcessRef postSend(int src, int dst, Message msg);
-
-    /**
      * Receive the next message for (@p host, @p tag), any source.
      * Charges the receive overhead.
      */
@@ -106,12 +99,11 @@ class MsgLayer
     void retireTagRange(int tagLo, int tagHi);
 
     /**
-     * Switch cross-host sends to the keyed three-leg protocol
-     * (DESIGN.md §14): the sender posts the message to the fabric one
-     * @p hopLatency hop out, the fabric leg moves the bytes and posts
-     * the delivery one hop on, and the destination's ack reaches the
-     * sender one hop later. Loopback stays direct. Allocates one key
-     * stream per host, then one for the fabric, so call at
+     * Switch cross-host sends to the keyed protocol (DESIGN.md §14):
+     * the send hops @p hopLatency to the fabric, moves the bytes
+     * there, hops on to the destination, and its ack hops back. Three
+     * hops in all; loopback stays direct. Allocates one key stream
+     * per host, then one for the fabric, so call at
      * machine-construction time, in a fixed order.
      */
     void useKeyedProtocol(sim::Tick hopLatency);
@@ -124,24 +116,6 @@ class MsgLayer
     Queue &queueFor(int host, int tag);
     sim::Coro<void> faultyTransport(int src, int dst,
                                     std::uint64_t bytes);
-
-    /**
-     * @name Keyed send-protocol legs (after useKeyedProtocol)
-     *
-     * The Message and the completion trigger live in send()'s
-     * suspended frame.
-     */
-    /** @{ */
-
-    /** Fabric leg: move the bytes (with injected loss) and hop on. */
-    sim::Coro<void> fabricLeg(int src, int dst, Message *msg,
-                              sim::Trigger *acked);
-
-    /** Destination leg: enqueue, then ack back to the sender. */
-    sim::Coro<void> deliverLeg(int dst, Message *msg,
-                               sim::Trigger *acked);
-
-    /** @} */
 
     sim::Simulator &simulator;
     Network &network;
@@ -162,7 +136,7 @@ class MsgLayer
     obs::Histogram *obsAttempts = nullptr;
 
     // Keyed protocol (useKeyedProtocol): hostKeys[h] keys host h's
-    // send posts and delivery acks, fabricKeys the fabric's deliveries.
+    // send hops and delivery acks, fabricKeys the fabric's deliveries.
     bool keyed = false;
     sim::Tick hopLatency = 0;
     std::vector<sim::KeyStream> hostKeys;
@@ -175,11 +149,11 @@ class MsgLayer
  *
  * Two arrival protocols share the timing model. arrive() mutates the
  * shared round state directly. Once useKeyedProtocol() is called,
- * arrive(participant) instead posts a keyed arrival to the barrier's
- * home one hop out; the home collects arrivals in key order and, when
- * the round is full, posts keyed releases that land at exactly
- * t_last + completionCost — the tick arrive() fires at (DESIGN.md
- * §14).
+ * arrive(participant) instead hops to the barrier's home and parks
+ * its coroutine there; arrivals land in key order and, when the
+ * round is full, keyed releases resume the parked coroutines at
+ * exactly t_last + completionCost — the tick arrive() fires at
+ * (DESIGN.md §14).
  */
 class Barrier
 {
@@ -217,8 +191,15 @@ class Barrier
     static sim::Tick logCost(int n, sim::Tick per_step);
 
   private:
-    /** Home side of one keyed arrival. */
-    void homeArrive(sim::Trigger *done);
+    /** Parks an arrival at the home; the last one posts the releases. */
+    struct Park
+    {
+        Barrier *barrier;
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h);
+        void await_resume() const noexcept {}
+    };
 
     sim::Simulator &simulator;
     int expected;
@@ -235,40 +216,9 @@ class Barrier
     std::vector<sim::KeyStream> arriveKeys;
     /** Release stream. */
     sim::KeyStream releaseKeys;
-    /** Arrivals of the open round, in key order. */
-    std::vector<sim::Trigger *> arrivals;
+    /** Coroutines parked at the home in the open round, in key order. */
+    std::vector<std::coroutine_handle<>> parked;
     /** @} */
-};
-
-/**
- * Reusable all-reduce over double values for a fixed-size group.
- * Latency model matches Barrier.
- */
-class AllReduce
-{
-  public:
-    using Op = std::function<double(double, double)>;
-
-    AllReduce(sim::Simulator &s, int n, sim::Tick cost,
-              Op op = [](double a, double b) { return a + b; });
-
-    /** Contribute @p value; resumes with the combined result. */
-    sim::Coro<double> arrive(double value);
-
-  private:
-    struct Round
-    {
-        sim::Trigger trig;
-        double acc = 0;
-        bool first = true;
-    };
-
-    sim::Simulator &simulator;
-    int expected;
-    sim::Tick completionCost;
-    Op combine;
-    int count = 0;
-    std::shared_ptr<Round> current;
 };
 
 } // namespace howsim::net

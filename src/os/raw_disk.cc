@@ -49,38 +49,17 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
     req.sectors = static_cast<std::uint32_t>(last - first);
     req.write = write;
 
-    if (splitSim) {
-        // Split protocol: the request crosses to the drive as a keyed
-        // event (the driver-queueing time is the flight), the
-        // mechanism runs there, and completion flies back after
-        // completionLat. The result slot and trigger live in this
-        // suspended frame.
-        sim::Tick start = splitSim->now();
-        co_await sim::delay(osCosts.syscall);
-        IoResult result;
-        sim::Trigger done;
-        IoResult *resultPtr = &result;
-        sim::Trigger *donePtr = &done;
-        RawDisk *self = this;
-        splitSim->postKeyed(
-            splitSim->now() + osCosts.ioQueue, toDisk.next(),
-            [self, req, resultPtr, donePtr] {
-                self->splitSim->spawnDetached(
-                    self->driveLeg(req, resultPtr, donePtr), "rawio");
-            });
-        co_await done.wait();
-        if (attachBus)
-            co_await attachBus->transfer(bytes);
-        // Completion interrupt.
-        co_await sim::delay(osCosts.interrupt);
-        result.totalTicks = splitSim->now() - start;
-        co_return result;
-    }
-
     sim::Tick start = sim::Simulator::current()->now();
 
-    // Issue path: system call plus device-driver queueing.
-    co_await sim::delay(osCosts.syscall + osCosts.ioQueue);
+    // Issue path: system call plus device-driver queueing. Split, the
+    // request crosses to the drive as a keyed hop (the driver-queueing
+    // time is the flight) and the mechanism runs there.
+    if (splitSim) {
+        co_await sim::delay(osCosts.syscall);
+        co_await splitSim->hop(osCosts.ioQueue, toDisk);
+    } else {
+        co_await sim::delay(osCosts.syscall + osCosts.ioQueue);
+    }
 
     IoResult result;
     result.detail = co_await diskRef.access(req);
@@ -93,6 +72,11 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
                                 result.detail.retries));
     }
 
+    // Split, the completion flies back to the host after
+    // completionLat.
+    if (splitSim)
+        co_await splitSim->hop(completionLat, toHost);
+
     if (attachBus)
         co_await attachBus->transfer(bytes);
 
@@ -100,24 +84,6 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
     co_await sim::delay(osCosts.interrupt);
     result.totalTicks = sim::Simulator::current()->now() - start;
     co_return result;
-}
-
-sim::Coro<void>
-RawDisk::driveLeg(disk::DiskRequest req, IoResult *out,
-                  sim::Trigger *done)
-{
-    out->detail = co_await diskRef.access(req);
-
-    // Each injected media-error reread surfaces as a check-condition
-    // the driver must field before the transfer completes.
-    if (out->detail.retries > 0) {
-        co_await sim::delay(osCosts.interrupt
-                            * static_cast<sim::Tick>(
-                                out->detail.retries));
-    }
-
-    splitSim->postKeyed(splitSim->now() + completionLat, toHost.next(),
-                        [done] { done->fire(); });
 }
 
 } // namespace howsim::os

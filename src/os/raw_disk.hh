@@ -16,7 +16,6 @@
 #include "bus/bus.hh"
 #include "disk/disk.hh"
 #include "os/os_costs.hh"
-#include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 
@@ -54,23 +53,19 @@ class RawDisk
     std::uint64_t capacityBytes() const { return diskRef.capacityBytes(); }
 
     /**
-     * Switch this access path to the split protocol: the issue leaves
-     * the host as a keyed event landing at +ioQueue on the drive side,
-     * the mechanism runs there, and completion returns as a keyed
-     * event after @p completionLatency (DESIGN.md §14). Timing
-     * relative to the fused path shifts by exactly +completionLatency
-     * per I/O. Allocates the two key streams — call at
-     * machine-construction time, in fixed order.
+     * Switch this access path to the split protocol: the issue hops
+     * from the host to the drive side, landing at +ioQueue, the
+     * mechanism runs there, and completion hops back after
+     * @p completionLatency (DESIGN.md §14). Timing relative to the
+     * fused path shifts by exactly +completionLatency per I/O.
+     * Allocates the two key streams — call at machine-construction
+     * time, in fixed order.
      */
     void enableSplit(sim::Simulator &sim, sim::Tick completionLatency);
 
   private:
     sim::Coro<IoResult> io(std::uint64_t offset, std::uint64_t bytes,
                            bool write);
-
-    /** Drive side of one split I/O. */
-    sim::Coro<void> driveLeg(disk::DiskRequest req, IoResult *out,
-                             sim::Trigger *done);
 
     disk::Disk &diskRef;
     bus::Bus *attachBus;
@@ -80,9 +75,9 @@ class RawDisk
     /** @{ */
     sim::Simulator *splitSim = nullptr;
     sim::Tick completionLat = 0;
-    /** Issue stream: keys the host side's requests. */
+    /** Issue stream: keys the host side's request hops. */
     sim::KeyStream toDisk;
-    /** Completion stream: keys the drive side's completions. */
+    /** Completion stream: keys the drive side's completion hops. */
     sim::KeyStream toHost;
     /** @} */
 };

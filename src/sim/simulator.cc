@@ -143,8 +143,8 @@ Simulator::spawnImpl(Coro<void> body, std::string name, bool detached)
     Process *raw = proc.get();
     Tick t = now();
     // Trace process lifetimes as async spans. Detached processes are
-    // high-volume (per-frame forwards, isends), so they only appear
-    // at fine detail.
+    // high-volume (aio operations), so they only appear at fine
+    // detail.
     if (obsSession && (!detached || obsSession->fine())) {
         raw->obsSpanId = obsSession->trace().asyncBegin(
             "process", raw->procName, t);

@@ -90,7 +90,7 @@ class Simulator
      * Start a fire-and-forget process whose resources are reclaimed
      * as soon as it completes (unless the caller retains the returned
      * handle). Use for high-volume short-lived activities such as
-     * per-frame network forwarding. An exception escaping a detached
+     * asynchronous I/O operations. An exception escaping a detached
      * process is rethrown from run().
      */
     ProcessRef spawnDetached(Coro<void> body, std::string name = "proc");
@@ -113,6 +113,32 @@ class Simulator
      */
     KeyStream allocKeyStream() { return KeyStream(nextKeyStream++); }
 
+    /** Awaitable returned by hop(). */
+    struct Hop
+    {
+        Simulator &simulator;
+        Tick delay;
+        KeyStream &keys;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            simulator.postKeyed(simulator.now() + delay, keys.next(),
+                                EventQueue::Action(h));
+        }
+
+        void await_resume() const noexcept {}
+    };
+
+    /**
+     * One keyed hop (DESIGN.md §14): suspend the awaiting coroutine
+     * and resume it from the keyed event at (now() + @p delay,
+     * @p keys.next()). The key is drawn as the coroutine suspends.
+     */
+    Hop hop(Tick delay, KeyStream &keys) { return Hop{*this, delay, keys}; }
+
     /**
      * Run until the event queue drains or the clock passes @p until.
      * Returns the final simulated time. Rethrows the first exception
@@ -122,9 +148,6 @@ class Simulator
 
     /** Number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed; }
-
-    /** Number of processes ever spawned. */
-    std::size_t processCount() const { return processes.size(); }
 
     /**
      * The simulator currently inside run() on this thread, or the

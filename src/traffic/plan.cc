@@ -1,6 +1,7 @@
 #include "traffic/plan.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -20,6 +21,11 @@ parseDouble(const std::string &key, const std::string &value)
     double v = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0')
         fatal("traffic spec: %s=\"%s\" is not a number", key.c_str(),
+              value.c_str());
+    // NaN slips past every range check; infinity overflows the tick
+    // conversions.
+    if (!std::isfinite(v))
+        fatal("traffic spec: %s=%s is not finite", key.c_str(),
               value.c_str());
     return v;
 }

@@ -147,23 +147,6 @@ TEST(Detector, MultiFailureRejoinPreservesOutputOnEveryTaskAndArch)
     }
 }
 
-TEST(Detector, FixedLeaseFallbackWhenHeartbeatsDisabled)
-{
-    // hb.period.ms=0 disables the detector; the legacy stop.detect.ms
-    // timer declares the death instead, and the run still completes
-    // with fault-free output.
-    auto config = baseConfig(Arch::Cluster, TaskKind::Select, 4);
-    auto faultFree = core::runExperiment(config);
-    config.faults = "seed=5,stop.disk=2,stop.at.ms=40,"
-                    "hb.period.ms=0,stop.detect.ms=15";
-    auto degraded = core::runExperiment(config);
-    EXPECT_EQ(degraded.outputBytes, faultFree.outputBytes);
-    EXPECT_EQ(degraded.availability.deaths, 1u);
-    EXPECT_EQ(degraded.availability.heartbeats, 0u);
-    EXPECT_EQ(degraded.availability.detectLatencyMax,
-              sim::milliseconds(15));
-}
-
 TEST(Detector, StopRateDrawsVictimsDeterministically)
 {
     // stop.rate victims come from the counter hash: the same seed

@@ -36,7 +36,7 @@ TEST(FaultPlan, FullSpecRoundTrips)
         "disk.remap.rate=1e-4,net.drop.rate=0.01,"
         "net.corrupt.rate=0.02,net.retries=4,net.timeout.us=500,"
         "stop.disk=3+1+7,stop.rate=0.125,stop.at.ms=100,"
-        "stop.restart.ms=250,stop.detect.ms=20,hb.period.ms=2,"
+        "stop.restart.ms=250,hb.period.ms=2,"
         "hb.timeout.x=4,rebuild.rate.mbs=64");
     EXPECT_EQ(plan.seed, 42u);
     EXPECT_DOUBLE_EQ(plan.diskSlowFrac, 0.25);
@@ -53,7 +53,6 @@ TEST(FaultPlan, FullSpecRoundTrips)
     EXPECT_DOUBLE_EQ(plan.stopRate, 0.125);
     EXPECT_EQ(plan.stopAt, sim::fromSeconds(0.1));
     EXPECT_EQ(plan.stopRestart, sim::fromSeconds(0.25));
-    EXPECT_EQ(plan.stopDetect, sim::fromSeconds(0.02));
     EXPECT_EQ(plan.hbPeriod, sim::fromSeconds(0.002));
     EXPECT_DOUBLE_EQ(plan.hbTimeoutX, 4.0);
     EXPECT_DOUBLE_EQ(plan.rebuildRateMBs, 64.0);
@@ -152,6 +151,16 @@ TEST(FaultPlanDeathTest, NonNumericValueIsFatal)
                 testing::ExitedWithCode(1), "not a number");
 }
 
+TEST(FaultPlanDeathTest, NonFiniteValueIsFatal)
+{
+    // strtod accepts "nan" and "inf"; NaN would pass every range
+    // check and infinity overflows the tick conversions.
+    EXPECT_EXIT(FaultPlan::parse("disk.slow.factor=nan"),
+                testing::ExitedWithCode(1), "not finite");
+    EXPECT_EXIT(FaultPlan::parse("stop.at.ms=inf"),
+                testing::ExitedWithCode(1), "not finite");
+}
+
 TEST(FaultPlanDeathTest, RateAboveOneIsFatal)
 {
     EXPECT_EXIT(FaultPlan::parse("net.drop.rate=1.5"),
@@ -174,6 +183,17 @@ TEST(FaultPlanDeathTest, ZeroRetriesIsFatal)
 {
     EXPECT_EXIT(FaultPlan::parse("net.retries=0"),
                 testing::ExitedWithCode(1), "net.retries");
+}
+
+TEST(FaultPlanDeathTest, HeartbeatPeriodBelowOneTickIsFatal)
+{
+    // The detector needs a period of at least one tick; 0 and values
+    // that round to zero ticks are rejected with the accepted range.
+    EXPECT_EXIT(FaultPlan::parse("hb.period.ms=0"),
+                testing::ExitedWithCode(1), "must be >= 1e-06");
+    EXPECT_EXIT(FaultPlan::parse("hb.period.ms=1e-7"),
+                testing::ExitedWithCode(1), "must be >= 1e-06");
+    EXPECT_EQ(FaultPlan::parse("hb.period.ms=1e-6").hbPeriod, 1u);
 }
 
 TEST(FaultPlanDeathTest, CombinedNetRatesAboveOneIsFatal)

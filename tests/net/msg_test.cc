@@ -1,4 +1,4 @@
-/** @file Tests for the message layer, barrier and all-reduce. */
+/** @file Tests for the message layer and barrier. */
 
 #include <gtest/gtest.h>
 
@@ -97,10 +97,10 @@ TEST(MsgLayer, PostSendOverlapsTransfers)
     Fixture f(4);
     Tick done = 0;
     auto sender = [&]() -> Coro<void> {
-        // Two async sends to different destinations overlap; a
-        // blocking implementation would take twice as long.
-        auto p1 = f.msg.postSend(0, 1, Message{.bytes = 1250000});
-        auto p2 = f.msg.postSend(0, 2, Message{.bytes = 1250000});
+        // Two sends spawned side by side to different destinations
+        // overlap; back-to-back sends would take twice as long.
+        auto p1 = f.sim.spawn(f.msg.send(0, 1, Message{.bytes = 1250000}));
+        auto p2 = f.sim.spawn(f.msg.send(0, 2, Message{.bytes = 1250000}));
         co_await p1->join();
         co_await p2->join();
         done = Simulator::current()->now();
@@ -135,6 +135,29 @@ TEST(MsgLayer, OverheadsChargedOnSendAndRecv)
     EXPECT_GT(recv_done, floor);
 }
 
+TEST(MsgLayer, KeyedSendAddsThreeHops)
+{
+    // On an idle fabric the keyed protocol costs exactly its three
+    // hops (to the fabric, to the destination, the ack back) on top of
+    // the direct send; a loopback send takes no hops.
+    const Tick hop = microseconds(7);
+    auto sendDone = [hop](bool keyed, int dst) {
+        Fixture f(4);
+        if (keyed)
+            f.msg.useKeyedProtocol(hop);
+        Tick done = 0;
+        auto sender = [&]() -> Coro<void> {
+            co_await f.msg.send(0, dst, Message{.bytes = 4096});
+            done = Simulator::current()->now();
+        };
+        f.sim.spawn(sender());
+        f.sim.run();
+        return done;
+    };
+    EXPECT_EQ(sendDone(true, 1), sendDone(false, 1) + 3 * hop);
+    EXPECT_EQ(sendDone(true, 0), sendDone(false, 0));
+}
+
 TEST(Barrier, AllArriveBeforeAnyProceeds)
 {
     Simulator sim;
@@ -151,6 +174,30 @@ TEST(Barrier, AllArriveBeforeAnyProceeds)
     ASSERT_EQ(release_times.size(), 4u);
     for (Tick t : release_times)
         EXPECT_EQ(t, 400u + microseconds(10));
+    EXPECT_EQ(barrier.generation(), 1);
+}
+
+TEST(Barrier, KeyedReleaseLandsOnSharedStateTick)
+{
+    // Keyed arrivals hop to the home, but the release still lands at
+    // t_last + cost, the tick the shared-state arrive() gives.
+    Simulator sim;
+    const Tick cost = microseconds(10);
+    Barrier barrier(sim, 4, cost);
+    barrier.useKeyedProtocol(microseconds(3));
+    std::vector<Tick> release_times;
+    auto body = [&](int participant, Tick arrival) -> Coro<void> {
+        co_await delay(arrival);
+        co_await barrier.arrive(participant);
+        release_times.push_back(Simulator::current()->now());
+    };
+    const Tick arrivals[] = {100, 400, 200, 300};
+    for (int p = 0; p < 4; ++p)
+        sim.spawn(body(p, arrivals[p]));
+    sim.run();
+    ASSERT_EQ(release_times.size(), 4u);
+    for (Tick t : release_times)
+        EXPECT_EQ(t, 400u + cost);
     EXPECT_EQ(barrier.generation(), 1);
 }
 
@@ -182,55 +229,4 @@ TEST(Barrier, LogCostGrowsLogarithmically)
     EXPECT_EQ(Barrier::logCost(16, step), 4 * step);
     EXPECT_EQ(Barrier::logCost(17, step), 5 * step);
     EXPECT_EQ(Barrier::logCost(128, step), 7 * step);
-}
-
-TEST(AllReduce, SumsContributions)
-{
-    Simulator sim;
-    AllReduce reduce(sim, 4, microseconds(5));
-    std::vector<double> results;
-    auto body = [&](double v) -> Coro<void> {
-        double total = co_await reduce.arrive(v);
-        results.push_back(total);
-    };
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        sim.spawn(body(v));
-    sim.run();
-    ASSERT_EQ(results.size(), 4u);
-    for (double r : results)
-        EXPECT_DOUBLE_EQ(r, 10.0);
-}
-
-TEST(AllReduce, CustomOpMax)
-{
-    Simulator sim;
-    AllReduce reduce(sim, 3, 0,
-                     [](double a, double b) { return std::max(a, b); });
-    double result = 0;
-    auto body = [&](double v) -> Coro<void> {
-        result = co_await reduce.arrive(v);
-    };
-    sim.spawn(body(3.0));
-    sim.spawn(body(9.0));
-    sim.spawn(body(5.0));
-    sim.run();
-    EXPECT_DOUBLE_EQ(result, 9.0);
-}
-
-TEST(AllReduce, ReusableAcrossRounds)
-{
-    Simulator sim;
-    AllReduce reduce(sim, 2, 0);
-    std::vector<double> results;
-    auto body = [&](double base) -> Coro<void> {
-        for (int round = 0; round < 3; ++round) {
-            double r = co_await reduce.arrive(base + round);
-            if (base == 0)
-                results.push_back(r);
-        }
-    };
-    sim.spawn(body(0));
-    sim.spawn(body(100));
-    sim.run();
-    EXPECT_EQ(results, (std::vector<double>{100, 102, 104}));
 }

@@ -378,6 +378,34 @@ TEST(Simulator, ZeroDelayAtUntilDrainsInOrderBeforeKeyed)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 10, 11}));
 }
 
+TEST(Simulator, HopResumesAtItsKeyedSlot)
+{
+    // A hop resumes after the ordinary events of its tick and takes
+    // its place among the keyed ones by key: here key 0 and key 2 of
+    // the stream are plain posts and key 1 is the hop.
+    Simulator sim;
+    KeyStream keys = sim.allocKeyStream();
+    std::vector<int> order;
+    Tick resumed = 0;
+    auto hopper = [&]() -> Coro<void> {
+        sim.postKeyed(10, keys.next(), [&] { order.push_back(1); });
+        co_await sim.hop(10, keys);
+        resumed = sim.now();
+        order.push_back(2);
+    };
+    sim.scheduleAt(10, [&] { order.push_back(0); });
+    sim.spawn(hopper());
+    sim.scheduleAt(0, [&] {
+        sim.postKeyed(10, keys.next(), [&] { order.push_back(3); });
+    });
+    sim.run();
+    EXPECT_EQ(resumed, 10u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    // Two scheduled actions, the spawn's start, two keyed posts and
+    // exactly one event for the hop.
+    EXPECT_EQ(sim.eventsExecuted(), 6u);
+}
+
 TEST(SimulatorDeathTest, PostKeyedRejectsKeyOutsideBand)
 {
     Simulator sim;

@@ -95,6 +95,8 @@ TEST(TrafficPlanDeath, GrammarErrorsAreFatal)
                  "unknown key");
     EXPECT_DEATH(TrafficPlan::parse("rate=fast,duration.ms=1"),
                  "not a number");
+    EXPECT_DEATH(TrafficPlan::parse("rate=1,duration.ms=nan"),
+                 "not finite");
     EXPECT_DEATH(TrafficPlan::parse("rate=1"),
                  "duration.ms is required");
     EXPECT_DEATH(TrafficPlan::parse("duration.ms=100"),
