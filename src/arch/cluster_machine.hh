@@ -99,8 +99,8 @@ class ClusterMachine
 
     /**
      * Switch the message layer's cross-host sends and the batch
-     * barrier to their keyed protocols, one fabric hop per leg
-     * (DESIGN.md §14). runExperiment calls this once, after
+     * barrier to their keyed protocols, whose hops each take one
+     * fabric hop latency (DESIGN.md §14). runExperiment calls this once, after
      * construction; traffic runs keep the direct protocols. A single
      * node keeps the shared-state barrier (logCost(1) == 0 leaves no
      * room for the hop).

@@ -264,7 +264,7 @@ runExperiment(const ExperimentConfig &config)
       case Arch::Cluster: {
         arch::ClusterMachine machine(simulator, config.scale,
                                      config.drive);
-        // Batch runs use the keyed message legs and barrier;
+        // Batch runs use the keyed message hops and barrier;
         // runTraffic does not.
         machine.useKeyedProtocols();
         AvailabilityRig<ClusterAvailability, arch::ClusterMachine>

@@ -117,7 +117,7 @@ class Network
      * Lower bound on the delivery latency of any cross-host message:
      * every non-loopback path crosses at least one switch hop (plus
      * NIC serialization, not counted here). The cluster's keyed
-     * message legs take this as their hop latency.
+     * message hops take this as their latency.
      */
     sim::Tick minMessageLatency() const { return netParams.hopLatency; }
 
