@@ -25,6 +25,7 @@
 #include "disk/geometry.hh"
 #include "disk/seek_curve.hh"
 #include "sim/awaitables.hh"
+#include "sim/completion.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
@@ -161,16 +162,17 @@ class Disk
     void traceTo(std::vector<TraceRecord> *sink) { trace = sink; }
 
   private:
+    /** One queued request; it lives on the access() frame. */
     struct Pending
     {
         DiskRequest req;
-        sim::Tick arrival;
-        sim::Trigger done;
+        sim::Tick arrival = 0;
         AccessDetail detail;
+        sim::Completion done;
     };
 
     sim::Coro<void> serviceLoop();
-    std::shared_ptr<Pending> pickNext();
+    Pending *pickNext();
     AccessDetail computeTiming(const DiskRequest &req);
     void injectFaults(AccessDetail &d, const DiskRequest &req);
     void recordObs(sim::Tick serviceStart, const Pending &pending);
@@ -185,7 +187,7 @@ class Disk
     SchedPolicy policy;
     std::string diskName;
 
-    std::deque<std::shared_ptr<Pending>> queue;
+    std::deque<Pending *> queue;
     sim::Trigger workAvailable;
 
     // Mechanical state.

@@ -11,8 +11,10 @@
  *
  * Ownership: the Coro object owns the coroutine frame. Awaiting a
  * Coro (`co_await makeChild()`) keeps the temporary alive in the
- * awaiting frame for the duration of the child. Top-level processes
- * are owned by the Simulator (see process.hh).
+ * awaiting frame for the duration of the child. Top-level coroutines
+ * are owned by the Simulator: a spawned one by its Process, a
+ * detached one by the Simulator itself until it finishes (see
+ * simulator.hh).
  */
 
 #ifndef HOWSIM_SIM_CORO_HH
@@ -21,7 +23,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <utility>
 
 #include "sim/arena.hh"
@@ -32,6 +33,21 @@ namespace howsim::sim
 
 template <typename T = void>
 class Coro;
+
+/**
+ * What a top-level coroutine (one no parent awaits) calls when its
+ * body finishes. Process implements it, and so does each of the
+ * Simulator's detached-coroutine slots, whose onFinish() destroys
+ * the frame; nothing may touch the frame after the call.
+ */
+class FinishHook
+{
+  public:
+    virtual void onFinish() noexcept = 0;
+
+  protected:
+    ~FinishHook() = default;
+};
 
 namespace detail
 {
@@ -66,8 +82,8 @@ struct PromiseBase
     /** Coroutine to resume when this one finishes (symmetric xfer). */
     std::coroutine_handle<> continuation;
 
-    /** Completion hook for top-level processes (no continuation). */
-    std::function<void()> onDone;
+    /** Finish hook for top-level coroutines (no continuation). */
+    FinishHook *onDone = nullptr;
 
     /** Captured exception, rethrown at the awaiter. */
     std::exception_ptr exception;
@@ -87,14 +103,10 @@ struct PromiseBase
             PromiseBase &p = h.promise();
             if (p.continuation)
                 return p.continuation;
-            // Move the hook out before invoking it: the hook may
-            // trigger destruction of this frame (detached processes),
-            // which would otherwise destroy the std::function while
-            // it is executing.
-            if (p.onDone) {
-                auto hook = std::move(p.onDone);
-                hook();
-            }
+            // A detached coroutine's hook destroys this frame: touch
+            // nothing of it after the call.
+            if (p.onDone)
+                p.onDone->onFinish();
             return std::noop_coroutine();
         }
 
@@ -176,7 +188,7 @@ class Coro
 
     /**
      * Release ownership of the frame to the caller (kernel internals
-     * only; used by the Simulator to manage top-level processes).
+     * only; the Simulator takes detached coroutines this way).
      */
     Handle release() { return std::exchange(handle, nullptr); }
 

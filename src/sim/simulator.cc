@@ -57,9 +57,15 @@ Simulator::~Simulator()
     // only if the session we registered with is still installed.
     if (obsSession && obs::session() == obsSession)
         obsSession->timeline().dropProbes(this);
-    // Destroy processes before restoring the current-simulator
-    // pointer: process frames may hold awaiter objects whose
-    // destructors unlink themselves from channels/resources.
+    // Destroy frames before restoring the current-simulator pointer:
+    // they may hold awaiter objects whose destructors unlink
+    // themselves from channels/resources. Detached frames still
+    // suspended die here; a spawned one lives on while a ProcessRef
+    // holds its Process.
+    for (std::size_t i = 0; i < detachedSlots.size(); ++i) {
+        if (auto frame = std::exchange(detachedSlots[i].frame, nullptr))
+            frame.destroy();
+    }
     processes.clear();
     if (obsSession)
         obsSession->bindClock(obsPrevClock);
@@ -121,51 +127,68 @@ Simulator::postKeyed(Tick when, std::uint64_t key,
 ProcessRef
 Simulator::spawn(Coro<void> body, std::string name)
 {
-    return spawnImpl(std::move(body), std::move(name), false);
-}
-
-ProcessRef
-Simulator::spawnDetached(Coro<void> body, std::string name)
-{
-    return spawnImpl(std::move(body), std::move(name), true);
-}
-
-ProcessRef
-Simulator::spawnImpl(Coro<void> body, std::string name, bool detached)
-{
     if (!body.valid())
         panic("spawn of an empty Coro");
 
     auto proc = std::shared_ptr<Process>(
         new Process(*this, std::move(body), std::move(name)));
-    proc->detached = detached;
-    processes.emplace(proc.get(), proc);
+    processes.push_back(proc);
     Process *raw = proc.get();
-    Tick t = now();
-    // Trace process lifetimes as async spans. Detached processes are
-    // high-volume (aio operations), so they only appear at fine
-    // detail.
-    if (obsSession && (!detached || obsSession->fine())) {
+    // Trace process lifetimes as async spans.
+    if (obsSession) {
         raw->obsSpanId = obsSession->trace().asyncBegin(
-            "process", raw->procName, t);
+            "process", raw->procName, currentTick);
     }
-    raw->body.promise().onDone = [raw] { raw->onComplete(); };
+    raw->body.promise().onDone = raw;
     // Start the body at the current tick, after already-queued events.
-    scheduleAt(t, [raw] { raw->body.resume(); });
+    queue.schedule(currentTick, [raw] { raw->body.resume(); });
     return proc;
 }
 
 void
-Simulator::reap(Process *proc)
+Simulator::spawnDetached(Coro<void> body, std::string_view name)
 {
-    auto it = processes.find(proc);
-    if (it == processes.end())
-        return;
-    if (proc->error && !proc->errorObserved) {
-        proc->errorObserved = true;
-        detachedErrors.push_back(proc->error);
+    if (!body.valid())
+        panic("spawn of an empty Coro");
+
+    DetachedSlot *slot = freeSlots;
+    if (slot) {
+        freeSlots = slot->nextFree;
+    } else {
+        slot = &detachedSlots.emplace_back();
+        slot->owner = this;
+        slot->index = static_cast<std::uint32_t>(detachedSlots.size() - 1);
     }
-    processes.erase(it);
+    slot->frame = body.release();
+    slot->frame.promise().onDone = slot;
+    // Detached coroutines are high-volume (aio operations), so their
+    // spans only appear at fine detail.
+    if (obsSession && obsSession->fine()) {
+        if (detachedSpans.size() <= slot->index)
+            detachedSpans.resize(slot->index + 1);
+        DetachedSpan &span = detachedSpans[slot->index];
+        span.name = name;
+        span.id = obsSession->trace().asyncBegin("process", span.name,
+                                                 currentTick);
+    }
+    queue.schedule(currentTick, std::coroutine_handle<>(slot->frame));
+}
+
+void
+Simulator::DetachedSlot::onFinish() noexcept
+{
+    Simulator &sim = *owner;
+    if (std::exception_ptr error = frame.promise().exception)
+        sim.failures.push_back(Failure{nullptr, std::move(error)});
+    if (sim.obsSession && sim.obsSession->fine()) {
+        const DetachedSpan &span = sim.detachedSpans[index];
+        sim.obsSession->trace().asyncEnd("process", span.name, span.id,
+                                         sim.currentTick);
+    }
+    frame.destroy();
+    frame = nullptr;
+    nextFree = sim.freeSlots;
+    sim.freeSlots = this;
 }
 
 Tick
@@ -201,17 +224,17 @@ Simulator::run(Tick until)
     if (until != maxTick && until > currentTick)
         currentTick = until;
     currentSim = outer;
-    if (!detachedErrors.empty()) {
-        auto err = detachedErrors.front();
-        detachedErrors.clear();
-        std::rethrow_exception(err);
-    }
-    for (const auto &[raw, proc] : processes) {
-        if (proc->error && !proc->errorObserved) {
-            proc->errorObserved = true;
-            std::rethrow_exception(proc->error);
+    for (auto it = failures.begin(); it != failures.end(); ++it) {
+        if (it->proc) {
+            if (it->proc->errorObserved)
+                continue;
+            it->proc->errorObserved = true;
         }
+        std::exception_ptr error = std::move(it->error);
+        failures.erase(failures.begin(), it + 1);
+        std::rethrow_exception(error);
     }
+    failures.clear();
     return currentTick;
 }
 
@@ -223,10 +246,12 @@ Process::Process(Simulator &s, Coro<void> b, std::string n)
 Process::~Process() = default;
 
 void
-Process::onComplete()
+Process::onFinish() noexcept
 {
     doneFlag = true;
     error = body.promise().exception;
+    if (error)
+        owner.failures.push_back(Simulator::Failure{this, error});
     if (obsSpanId) {
         owner.obsSession->trace().asyncEnd("process", procName,
                                            obsSpanId, owner.now());
@@ -234,12 +259,6 @@ Process::onComplete()
     for (auto h : joiners)
         owner.scheduleAt(owner.now(), h);
     joiners.clear();
-    if (detached) {
-        // Reclaim after the current resume() unwinds; any holder of
-        // the ProcessRef keeps the handle (not the frame) alive.
-        Process *self = this;
-        owner.scheduleAt(owner.now(), [self] { self->owner.reap(self); });
-    }
 }
 
 Coro<void>

@@ -7,9 +7,11 @@
 #define HOWSIM_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "sim/arena.hh"
@@ -31,8 +33,9 @@ using ProcessRef = std::shared_ptr<Process>;
 /**
  * Discrete-event simulation executive.
  *
- * Owns the clock and the event queue, and keeps every spawned
- * top-level process alive for the lifetime of the simulation. A
+ * Owns the clock and the event queue, keeps every spawned top-level
+ * process alive for the lifetime of the simulation, and owns each
+ * detached coroutine's frame until the coroutine finishes. A
  * thread-local "current simulator" is maintained while run() executes
  * so that awaitables (delays, channels, resources) can reach the
  * event queue without threading a pointer through every call.
@@ -87,13 +90,17 @@ class Simulator
     ProcessRef spawn(Coro<void> body, std::string name = "proc");
 
     /**
-     * Start a fire-and-forget process whose resources are reclaimed
-     * as soon as it completes (unless the caller retains the returned
-     * handle). Use for high-volume short-lived activities such as
-     * asynchronous I/O operations. An exception escaping a detached
-     * process is rethrown from run().
+     * Start a fire-and-forget coroutine at the current time, in the
+     * event slot spawn() would give it. No Process is built: the
+     * Simulator holds the frame in a recycled slot and frees it at
+     * final suspend, so a spawn allocates nothing but the frame. Use
+     * for high-volume short-lived activities such as asynchronous
+     * I/O operations. An exception escaping the body is rethrown
+     * from run(); a frame still suspended when the Simulator dies is
+     * destroyed with it. @p name labels the `process` trace span,
+     * which only fine trace detail records.
      */
-    ProcessRef spawnDetached(Coro<void> body, std::string name = "proc");
+    void spawnDetached(Coro<void> body, std::string_view name = "proc");
 
     /**
      * Schedule @p action at absolute tick @p when with the explicit
@@ -141,8 +148,10 @@ class Simulator
 
     /**
      * Run until the event queue drains or the clock passes @p until.
-     * Returns the final simulated time. Rethrows the first exception
-     * escaping a process that no joiner observed.
+     * Returns the final simulated time. Rethrows the exception of the
+     * first coroutine, spawned or detached, that failed without a
+     * joiner observing it; each failure surfaces from one run() call
+     * only, in the order the coroutines finished.
      */
     Tick run(Tick until = maxTick);
 
@@ -159,9 +168,34 @@ class Simulator
   private:
     friend class Process;
 
-    ProcessRef spawnImpl(Coro<void> body, std::string name,
-                         bool detached);
-    void reap(Process *proc);
+    /**
+     * One detached coroutine's place in the live list, and the finish
+     * hook its promise points at. Slots never move (a deque only
+     * appends) and are recycled through a free list.
+     */
+    struct DetachedSlot final : FinishHook
+    {
+        Simulator *owner = nullptr;
+        Coro<void>::Handle frame; //!< null while the slot is free
+        DetachedSlot *nextFree = nullptr;
+        std::uint32_t index = 0;
+
+        void onFinish() noexcept override;
+    };
+
+    /** A detached coroutine's `process` span (fine trace detail). */
+    struct DetachedSpan
+    {
+        std::uint64_t id = 0;
+        std::string name;
+    };
+
+    /** A finished coroutine's escaped exception, in finish order. */
+    struct Failure
+    {
+        Process *proc; //!< null for a detached coroutine
+        std::exception_ptr error;
+    };
 
     Tick currentTick = 0;
     EventQueue queue;
@@ -170,15 +204,21 @@ class Simulator
      * Frame and action-capture storage for this simulator, installed
      * as the thread's allocation arena for the simulator's lifetime
      * (constructor through destructor, restoring the previous arena —
-     * mirroring the current-simulator chain). Frames that outlive the
-     * simulator (held ProcessRefs) stay valid: the arena's control
-     * block is refcounted by its live blocks.
+     * mirroring the current-simulator chain). A spawned process's
+     * frame may outlive the simulator (a held ProcessRef) and stays
+     * valid: the arena's control block is refcounted by its live
+     * blocks. Detached frames never outlive it.
      */
     Arena frameArena;
     ArenaScope arenaScope{&frameArena};
 
-    std::unordered_map<Process *, ProcessRef> processes;
-    std::vector<std::exception_ptr> detachedErrors;
+    /** Every spawned process, in spawn order. */
+    std::vector<ProcessRef> processes;
+    std::deque<DetachedSlot> detachedSlots;
+    DetachedSlot *freeSlots = nullptr;
+    /** Indexed by slot; filled only at fine trace detail. */
+    std::vector<DetachedSpan> detachedSpans;
+    std::vector<Failure> failures;
     std::uint64_t executed = 0;
     std::uint64_t nextKeyStream = 0;
     Simulator *previous = nullptr;
@@ -198,7 +238,7 @@ class Simulator
  * Handle to a spawned top-level process. Exposes completion state and
  * a join() awaitable. Created only by Simulator::spawn().
  */
-class Process
+class Process final : FinishHook
 {
   public:
     ~Process();
@@ -243,13 +283,12 @@ class Process
 
     Process(Simulator &s, Coro<void> b, std::string n);
 
-    void onComplete();
+    void onFinish() noexcept override;
 
     Simulator &owner;
     Coro<void> body;
     std::string procName;
     std::uint64_t obsSpanId = 0; //!< async span; 0 = not traced
-    bool detached = false;
     bool doneFlag = false;
     bool errorObserved = false;
     std::exception_ptr error;

@@ -124,9 +124,8 @@ SmpMachine::io(DiskGroup group, std::uint64_t offset,
     const std::uint32_t chunk = smpParams.stripeChunkBytes;
     std::uint64_t first = offset / chunk;
     std::uint64_t last = (offset + bytes + chunk - 1) / chunk;
-    os::AsyncQueue window(
-        simulator,
-        static_cast<int>(std::max<std::uint64_t>(last - first, 1)));
+    StripeJoin join;
+    join.pending = last - first;
     for (std::uint64_t c = first; c < last; ++c) {
         int disk_idx = group.firstDisk
                        + static_cast<int>(c % static_cast<std::uint64_t>(
@@ -136,23 +135,28 @@ SmpMachine::io(DiskGroup group, std::uint64_t offset,
         std::uint64_t lo = std::max(offset, c * chunk);
         std::uint64_t hi = std::min(offset + bytes, (c + 1) * chunk);
         std::uint64_t disk_off = row * chunk + (lo - c * chunk);
-        auto one = [](SmpMachine *m, DiskGroup g, int idx,
-                      std::uint64_t off, std::uint64_t len,
-                      bool w) -> sim::Coro<void> {
-            if (!m->stopSched.empty())
-                idx = co_await m->route(g, idx);
-            os::RawDisk *rd = m->raw[static_cast<std::size_t>(idx)]
-                                  .get();
-            if (w)
-                co_await rd->write(off, len);
-            else
-                co_await rd->read(off, len);
-            co_await m->xio->transfer(len);
-        };
-        window.post(one(this, group, disk_idx, disk_off, hi - lo,
-                        write));
+        simulator.spawnDetached(
+            chunkIo(group, disk_idx, disk_off, hi - lo, write, join),
+            "aio");
     }
-    co_await window.drain();
+    if (join.pending > 0)
+        co_await join.landed.wait();
+}
+
+sim::Coro<void>
+SmpMachine::chunkIo(DiskGroup group, int disk_idx, std::uint64_t offset,
+                    std::uint64_t bytes, bool write, StripeJoin &join)
+{
+    if (!stopSched.empty())
+        disk_idx = co_await route(group, disk_idx);
+    os::RawDisk *rd = raw[static_cast<std::size_t>(disk_idx)].get();
+    if (write)
+        co_await rd->write(offset, bytes);
+    else
+        co_await rd->read(offset, bytes);
+    co_await xio->transfer(bytes);
+    if (--join.pending == 0)
+        join.landed.fire();
 }
 
 sim::Coro<bool>

@@ -21,10 +21,10 @@
 #include "disk/disk.hh"
 #include "fault/fault.hh"
 #include "net/msg.hh"
-#include "os/async_io.hh"
 #include "os/cpu.hh"
 #include "os/os_costs.hh"
 #include "os/raw_disk.hh"
+#include "sim/completion.hh"
 #include "sim/coro.hh"
 #include "sim/resource.hh"
 #include "sim/simulator.hh"
@@ -99,7 +99,9 @@ class SmpMachine
     /**
      * Striped I/O over a disk group: @p offset is a logical byte
      * offset within the group's striped address space; chunks fan
-     * out to member drives concurrently through the shared FC.
+     * out to member drives concurrently through the shared FC, one
+     * detached "aio" coroutine each, and the caller resumes when the
+     * last one lands.
      */
     sim::Coro<void> io(DiskGroup group, std::uint64_t offset,
                        std::uint64_t bytes, bool write);
@@ -194,6 +196,21 @@ class SmpMachine
     {
         return cpu_idx / smpParams.cpusPerBoard;
     }
+
+    /**
+     * The caller's side of one io(), kept on the caller's frame: the
+     * chunks still in flight, and the signal the last one fires.
+     */
+    struct StripeJoin
+    {
+        std::uint64_t pending = 0;
+        sim::Completion landed;
+    };
+
+    /** One stripe chunk of io(): drive @p disk_idx, then the XIO. */
+    sim::Coro<void> chunkIo(DiskGroup group, int disk_idx,
+                            std::uint64_t offset, std::uint64_t bytes,
+                            bool write, StripeJoin &join);
 
     sim::Simulator &simulator;
     SmpParams smpParams;

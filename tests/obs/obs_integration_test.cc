@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +22,8 @@
 #include "obs/obs.hh"
 #include "sim/awaitables.hh"
 #include "sim/simulator.hh"
+#include "smp/smp_machine.hh"
+#include "tasks/smp_tasks.hh"
 #include "tasks/task_runner.hh"
 #include "workload/dataset.hh"
 
@@ -179,6 +182,50 @@ TEST_F(ObsTest, FineDetailTracesComputeOnEachDeviceCpu)
         for (int d = 0; d < 4; ++d)
             expected.insert(c.trackPrefix + std::to_string(d) + ".cpu");
         EXPECT_EQ(tracks, expected);
+    }
+}
+
+TEST_F(ObsTest, FineDetailTracesDetachedSpans)
+{
+    // 40 whole 256 KB blocks and a 100 KB tail: 40 * 4 + 2 stripe
+    // chunks of 64 KB, each one detached "aio" coroutine.
+    auto data = DatasetSpec::forTask(TaskKind::Select);
+    data.inputBytes = 40 * (256 << 10) + (100 << 10);
+    const std::size_t chunks = 40 * 4 + 2;
+
+    for (obs::Detail detail : {obs::Detail::Fine, obs::Detail::Coarse}) {
+        bool fine = detail == obs::Detail::Fine;
+        SCOPED_TRACE(fine ? "fine" : "coarse");
+        obs::Session::Options opts;
+        opts.detail = detail;
+        obs::Session session("finespans", opts);
+        sim::Simulator simulator;
+        smp::SmpMachine machine(simulator, 4, 4,
+                                disk::DiskSpec::seagateSt39102());
+        tasks::SmpTaskRunner(simulator, machine)
+            .run(TaskKind::Select, data);
+
+        std::uint64_t requests = 0;
+        for (int d = 0; d < machine.diskCount(); ++d)
+            requests += machine.driveMech(d).stats().requests;
+        EXPECT_EQ(requests, chunks);
+
+        std::map<std::uint64_t, sim::Tick> begun;
+        std::size_t ended = 0;
+        for (const auto &ev : session.trace().allEvents()) {
+            if (std::string(ev.cat) != "process" || ev.name != "aio")
+                continue;
+            if (ev.ph == 'b') {
+                EXPECT_TRUE(begun.emplace(ev.id, ev.ts).second);
+            } else if (ev.ph == 'e') {
+                auto it = begun.find(ev.id);
+                ASSERT_NE(it, begun.end());
+                EXPECT_GE(ev.ts, it->second);
+                ++ended;
+            }
+        }
+        EXPECT_EQ(begun.size(), fine ? chunks : 0u);
+        EXPECT_EQ(ended, begun.size());
     }
 }
 

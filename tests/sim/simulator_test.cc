@@ -11,13 +11,16 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "disk/disk.hh"
 #include "sim/awaitables.hh"
 #include "sim/coro.hh"
 #include "sim/simulator.hh"
 
 using namespace howsim::sim;
+namespace disk = howsim::disk;
 
 TEST(Simulator, RunsScheduledActionsAndAdvancesClock)
 {
@@ -180,6 +183,48 @@ TEST(Simulator, UnobservedProcessExceptionSurfacesFromRun)
     EXPECT_THROW(sim.run(), std::runtime_error);
 }
 
+TEST(Simulator, FirstUnobservedFailureSurfacesFromRun)
+{
+    auto failAt = [](Tick t, int id) -> Coro<void> {
+        co_await delay(t);
+        throw std::runtime_error(std::to_string(id));
+    };
+    auto surfaced = [](Simulator &sim) {
+        try {
+            sim.run();
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("none");
+    };
+    for (int n : {2, 3, 20, 100}) {
+        SCOPED_TRACE(n);
+        // Failures at ticks 10, 20, ... in spawn order, then reversed.
+        Simulator forward;
+        for (int i = 0; i < n; ++i)
+            forward.spawn(failAt(static_cast<Tick>(10 * (i + 1)), i));
+        EXPECT_EQ(surfaced(forward), "0");
+        // Each failure surfaces once, in the order it happened.
+        EXPECT_EQ(surfaced(forward), "1");
+
+        Simulator reversed;
+        for (int i = 0; i < n; ++i)
+            reversed.spawn(failAt(static_cast<Tick>(10 * (n - i)), i));
+        EXPECT_EQ(surfaced(reversed), std::to_string(n - 1));
+    }
+    // Spawned and detached coroutines share one order: a process that
+    // fails first wins over a detached one that fails later, and the
+    // other way round.
+    Simulator mixed;
+    mixed.spawnDetached(failAt(20, 1));
+    mixed.spawn(failAt(10, 0));
+    mixed.spawnDetached(failAt(5, 2));
+    EXPECT_EQ(surfaced(mixed), "2");
+    EXPECT_EQ(surfaced(mixed), "0");
+    EXPECT_EQ(surfaced(mixed), "1");
+    EXPECT_EQ(surfaced(mixed), "none");
+}
+
 TEST(Simulator, JoinerObservesProcessException)
 {
     Simulator sim;
@@ -301,6 +346,54 @@ TEST(Simulator, EventsExecutedCounts)
         sim.scheduleAt(static_cast<Tick>(i), [] {});
     sim.run();
     EXPECT_EQ(sim.eventsExecuted(), 7u);
+}
+
+TEST(Simulator, DetachedSpawnCostsNoReapEvent)
+{
+    Simulator sim;
+    auto body = []() -> Coro<void> { co_await delay(5); };
+    sim.spawnDetached(body());
+    sim.run();
+    // The start and the resume after the delay; the frame is freed
+    // at final suspend, not by a later event.
+    EXPECT_EQ(sim.eventsExecuted(), 2u);
+    EXPECT_EQ(sim.now(), 5u);
+}
+
+TEST(Simulator, SuspendedDetachedFramesDieWithTheSimulator)
+{
+    struct Guard
+    {
+        int *count;
+        ~Guard() { ++*count; }
+    };
+    int destroyed = 0;
+    Trigger never;
+    auto parked = [&never](int *count) -> Coro<void> {
+        Guard guard{count};
+        co_await never.wait();
+    };
+    auto read = [](disk::Disk &drive) -> Coro<void> {
+        co_await drive.access(disk::DiskRequest{0, 64, false});
+    };
+    auto queued = [](disk::Disk &drive, int *count) -> Coro<void> {
+        Guard guard{count};
+        co_await drive.access(disk::DiskRequest{0, 64, false});
+    };
+    {
+        Simulator sim;
+        disk::Disk drive(sim, disk::DiskSpec::seagateSt39102());
+        sim.spawn(read(drive));
+        sim.spawnDetached(queued(drive, &destroyed));
+        sim.spawnDetached(parked(&destroyed));
+        sim.run(microseconds(1));
+        // The first read is in service; the detached one waits behind
+        // it and the other detached coroutine waits on the trigger.
+        EXPECT_EQ(drive.queueDepth(), 1u);
+        EXPECT_EQ(never.waiterCount(), 1u);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 2);
 }
 
 TEST(Simulator, ManyProcessesScale)
