@@ -64,14 +64,14 @@ Bus::allocRec()
         freeRecs = r->nextFree;
         return r;
     }
-    recPool.emplace_back();
-    return &recPool.back();
+    Rec &r = recPool.emplace_back();
+    r.bus = this;
+    return &r;
 }
 
 void
 Bus::freeRec(Rec *r)
 {
-    r->done = sim::InlineAction();
     r->nextFree = freeRecs;
     freeRecs = r;
 }
@@ -85,14 +85,14 @@ Bus::integrate(sim::Tick now)
 }
 
 void
-Bus::bookAsync(std::uint64_t bytes, sim::InlineAction done)
+Bus::bookAsync(std::uint64_t bytes, sim::EventWord done)
 {
     sim::Tick now = simulator.now();
     Rec *r = allocRec();
     r->bytes = bytes;
     r->occ = occupancyTicks(bytes);
     r->arrival = now;
-    r->done = std::move(done);
+    r->done = done;
     // Immediate grant only when no queue and a channel's completion
     // has actually run — the Resource's waiters.empty() && avail > 0
     // condition, which keeps grant events at identical (tick, seq)
@@ -121,10 +121,22 @@ Bus::grant(Rec *r, sim::Tick now)
 void
 Bus::occupy(Rec *r)
 {
-    simulator.scheduleAt(simulator.now() + r->occ,
-                         sim::InlineAction([this, r] {
-                             onComplete(r);
-                         }));
+    r->fire = &completeEvent;
+    simulator.scheduleAt(simulator.now() + r->occ, r);
+}
+
+void
+Bus::occupyEvent(sim::EventTarget *self)
+{
+    Rec *r = static_cast<Rec *>(self);
+    r->bus->occupy(r);
+}
+
+void
+Bus::completeEvent(sim::EventTarget *self)
+{
+    Rec *r = static_cast<Rec *>(self);
+    r->bus->onComplete(r);
 }
 
 void
@@ -147,9 +159,8 @@ Bus::onComplete(Rec *r)
         Rec *g = pending.front();
         pending.pop_front();
         grant(g, now);
-        simulator.scheduleAt(now, sim::InlineAction([this, g] {
-            occupy(g);
-        }));
+        g->fire = &occupyEvent;
+        simulator.scheduleAt(now, g);
     }
     ++accumulated.transfers;
     accumulated.bytes += r->bytes;
@@ -158,10 +169,9 @@ Bus::onComplete(Rec *r)
         obsBytes->add(r->bytes);
         obsTransfers->add();
     }
-    sim::InlineAction done = std::move(r->done);
+    sim::EventWord done = r->done;
     freeRec(r);
-    if (done)
-        done();
+    done();
 }
 
 } // namespace howsim::bus

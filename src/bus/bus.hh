@@ -29,7 +29,6 @@
 #include <string>
 
 #include "bus/xfer.hh"
-#include "sim/action.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
@@ -156,12 +155,12 @@ class Bus
     Transfer transfer(std::uint64_t bytes);
 
     /**
-     * Book a transfer at the current tick and invoke @p done inside
-     * the completion event, after statistics are applied: the
-     * position a coroutine awaiting transfer() resumes at. Queues
-     * FIFO behind pending bookings.
+     * Book a transfer at the current tick and run @p done (a handle
+     * or target word) inside the completion event, after statistics
+     * are applied: the position a coroutine awaiting transfer()
+     * resumes at. Queues FIFO behind pending bookings.
      */
-    void bookAsync(std::uint64_t bytes, sim::InlineAction done);
+    void bookAsync(std::uint64_t bytes, sim::EventWord done);
 
     /** Channel occupancy of one transfer: startup + bytes/rate. */
     sim::Tick
@@ -209,7 +208,7 @@ class Bus
         void
         await_suspend(std::coroutine_handle<> cont)
         {
-            target->bookAsync(nbytes, sim::InlineAction(cont));
+            target->bookAsync(nbytes, cont);
         }
 
         void await_resume() const noexcept {}
@@ -220,13 +219,18 @@ class Bus
     };
 
   private:
-    /** Pooled per-booking record. */
-    struct Rec
+    /**
+     * Pooled per-booking record. It is the event target of its own
+     * steps: fire is the grant's occupy step or the completion,
+     * whichever is scheduled.
+     */
+    struct Rec final : sim::EventTarget
     {
+        Bus *bus;
         std::uint64_t bytes;
         sim::Tick occ;
         sim::Tick arrival;
-        sim::InlineAction done;
+        sim::EventWord done;
         Rec *nextFree;
     };
 
@@ -239,6 +243,8 @@ class Bus
     /** Schedule @p r's completion one occupancy from now. */
     void occupy(Rec *r);
     void onComplete(Rec *r);
+    static void occupyEvent(sim::EventTarget *self);
+    static void completeEvent(sim::EventTarget *self);
 
     sim::Simulator &simulator;
     BusParams busParams;

@@ -263,10 +263,8 @@ Barrier::Park::await_suspend(std::coroutine_handle<> h)
     sim::Tick releaseAt
         = s.now() - barrier->hopLatency + barrier->completionCost;
     ++barrier->gen;
-    for (std::coroutine_handle<> waiter : parked) {
-        s.postKeyed(releaseAt, barrier->releaseKeys.next(),
-                    sim::EventQueue::Action(waiter));
-    }
+    for (std::coroutine_handle<> waiter : parked)
+        s.postKeyed(releaseAt, barrier->releaseKeys.next(), waiter);
     parked.clear();
 }
 

@@ -83,7 +83,8 @@ Network::traffic(int host) const
  * stage booking -> ... -> receiver completion. Every schedule call
  * happens inside the same event, in the same order, as its
  * coroutine counterpart, so same-tick ties resolve exactly as they
- * would there.
+ * would there. Each frame's record is the event target of all its
+ * steps.
  */
 struct Network::XferOp
 {
@@ -124,49 +125,92 @@ struct Network::XferOp
         return static_cast<std::uint32_t>(last);
     }
 
+    /** Frame @p i enters the path: it books on the sender NIC. */
     void
-    bookOn(int s, int i)
+    send(int i)
     {
-        XferOp *op = this;
-        stage[s]->bookAsync(sizeOf(i), sim::InlineAction([op, s, i] {
-            op->stageDone(s, i);
-        }));
+        Frame *f = net.allocFrame();
+        f->op = this;
+        f->i = i;
+        bookOn(f, 0);
     }
 
     void
-    stageDone(int s, int i)
+    bookOn(Frame *f, int s)
     {
-        XferOp *op = this;
-        if (s == 0) {
+        f->s = s;
+        f->fire = &stageDoneEvent;
+        stage[s]->bookAsync(sizeOf(f->i), f);
+    }
+
+    void
+    stageDone(Frame *f)
+    {
+        if (f->s == 0) {
             // The reference spawns the detached forwarder (its start
             // is an event of its own) and then books the next frame
             // on the sender NIC, in that order.
-            net.simulator.scheduleAt(
-                net.simulator.now(), sim::InlineAction([op, i] {
-                    op->hopAfter(0, i);
-                }));
-            if (i + 1 < frames)
-                bookOn(0, i + 1);
+            f->fire = &launchEvent;
+            net.simulator.scheduleAt(net.simulator.now(), f);
+            if (f->i + 1 < frames)
+                send(f->i + 1);
             return;
         }
-        if (s == nstages - 1) {
+        if (f->s == nstages - 1) {
+            net.freeFrame(f);
             if (++arrived == frames)
                 done.fire();
             return;
         }
-        hopAfter(s, i);
+        hopAfter(f);
     }
 
-    /** Frame @p i crosses the hop after stage @p s, then books. */
+    /** The frame crosses the hop after its stage, then books. */
     void
-    hopAfter(int s, int i)
+    hopAfter(Frame *f)
     {
-        XferOp *op = this;
-        net.simulator.scheduleIn(hop, sim::InlineAction([op, s, i] {
-            op->bookOn(s + 1, i);
-        }));
+        f->fire = &hopEvent;
+        net.simulator.scheduleIn(hop, f);
+    }
+
+    static void
+    stageDoneEvent(sim::EventTarget *self)
+    {
+        Frame *f = static_cast<Frame *>(self);
+        f->op->stageDone(f);
+    }
+
+    static void
+    launchEvent(sim::EventTarget *self)
+    {
+        Frame *f = static_cast<Frame *>(self);
+        f->op->hopAfter(f);
+    }
+
+    static void
+    hopEvent(sim::EventTarget *self)
+    {
+        Frame *f = static_cast<Frame *>(self);
+        f->op->bookOn(f, f->s + 1);
     }
 };
+
+Network::Frame *
+Network::allocFrame()
+{
+    if (Frame *f = freeFrames) {
+        freeFrames = f->nextFree;
+        return f;
+    }
+    return &framePool.emplace_back();
+}
+
+void
+Network::freeFrame(Frame *f)
+{
+    f->nextFree = freeFrames;
+    freeFrames = f;
+}
 
 sim::Coro<void>
 Network::transport(int src, int dst, std::uint64_t bytes)
@@ -188,7 +232,7 @@ Network::transport(int src, int dst, std::uint64_t bytes)
     const bool cross_edge = edgeOf(src) != edgeOf(dst)
                             && edges.size() > 1;
     XferOp op(*this, src, dst, wire, cross_edge);
-    op.bookOn(0, 0);
+    op.send(0);
     co_await op.done.wait();
 
     hosts[static_cast<std::size_t>(src)].traffic.bytesSent += bytes;

@@ -15,12 +15,12 @@
  * being a FIFO queue-based bus. Contention therefore emerges at
  * whichever stage is oversubscribed.
  *
- * A per-frame walker drives the train: plain events and bookings on
- * the stage buses, with no coroutine frame per frame. It schedules
- * every event at the tick, and in the order, that a forwarder
- * coroutine per frame over Resource-based buses would (DESIGN.md
- * §12); the differential tests check this against exactly that
- * reference.
+ * A per-frame walker drives the train: events on a pooled record per
+ * frame and bookings on the stage buses, with no coroutine frame and
+ * no closure per frame. It schedules every event at the tick, and in
+ * the order, that a forwarder coroutine per frame over
+ * Resource-based buses would (DESIGN.md §12); the differential tests
+ * check this against exactly that reference.
  *
  * Accounting semantics:
  *  - Loopback (src == dst) is local delivery: it completes in zero
@@ -37,6 +37,7 @@
 #define HOWSIM_NET_NETWORK_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -137,13 +138,31 @@ class Network
 
     struct XferOp;
 
+    /**
+     * One frame of a message in flight, at stage s of its path: the
+     * event target of the frame's launch, hop and stage-done steps.
+     * Pooled; free ones form a list.
+     */
+    struct Frame final : sim::EventTarget
+    {
+        XferOp *op;
+        int s;
+        int i;
+        Frame *nextFree;
+    };
+
     int edgeOf(int host) const { return host / netParams.hostsPerSwitch; }
+
+    Frame *allocFrame();
+    void freeFrame(Frame *f);
 
     sim::Simulator &simulator;
     NetParams netParams;
     std::vector<Host> hosts;
     std::vector<Edge> edges;
     std::uint64_t movedBytes = 0;
+    std::deque<Frame> framePool;
+    Frame *freeFrames = nullptr;
     obs::Counter *obsMoved = nullptr; //!< null when obs is off
 };
 

@@ -52,11 +52,11 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
     sim::Tick start = sim::Simulator::current()->now();
 
     // Issue path: system call plus device-driver queueing. Split, the
-    // request crosses to the drive as a keyed hop (the driver-queueing
-    // time is the flight) and the mechanism runs there.
+    // request crosses to the drive as one keyed hop (the system call
+    // and the driver-queueing time are the flight) and the mechanism
+    // runs there.
     if (splitSim) {
-        co_await sim::delay(osCosts.syscall);
-        co_await splitSim->hop(osCosts.ioQueue, toDisk);
+        co_await splitSim->hop(osCosts.syscall + osCosts.ioQueue, toDisk);
     } else {
         co_await sim::delay(osCosts.syscall + osCosts.ioQueue);
     }

@@ -54,8 +54,8 @@ class RawDisk
 
     /**
      * Switch this access path to the split protocol: the issue hops
-     * from the host to the drive side, landing at +ioQueue, the
-     * mechanism runs there, and completion hops back after
+     * from the host to the drive side, landing at +syscall+ioQueue,
+     * the mechanism runs there, and completion hops back after
      * @p completionLatency (DESIGN.md §14). Timing relative to the
      * fused path shifts by exactly +completionLatency per I/O.
      * Allocates the two key streams — call at machine-construction

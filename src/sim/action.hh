@@ -2,18 +2,16 @@
  * @file
  * Move-only type-erased callable with small-buffer optimization.
  *
- * InlineAction is the event payload of the simulator. The overwhelming
- * majority of events resume a suspended coroutine — an 8-byte
- * std::coroutine_handle<> — so the callable keeps a 48-byte inline
- * buffer and only falls back to the heap for captures that are larger
- * (or whose move constructor may throw). Scheduling the common case
- * therefore performs zero heap allocations, where the previous
- * std::function + shared_ptr representation performed two.
+ * InlineAction is the payload of a closure event: an arbitrary
+ * callable, where the hot events (coroutine resumes, bus and network
+ * steps) travel as one EventWord (event_queue.hh). The callable keeps
+ * a 48-byte inline buffer and only falls back to the heap for
+ * captures that are larger (or whose move constructor may throw), so
+ * scheduling a small closure performs zero heap allocations.
  *
- * Relocation (the move used while sifting entries through the event
- * heap) is a plain memcpy for trivially copyable captures — handles,
- * raw pointers, small PODs — and a type-erased move-construct +
- * destroy for everything else.
+ * Relocation is a plain memcpy for trivially copyable captures — raw
+ * pointers, small PODs — and a type-erased move-construct + destroy
+ * for everything else.
  */
 
 #ifndef HOWSIM_SIM_ACTION_HH
@@ -31,6 +29,16 @@
 namespace howsim::sim
 {
 
+/**
+ * True for any std::coroutine_handle. A handle is not a closure: it
+ * travels as an EventWord, so InlineAction refuses to wrap one.
+ */
+template <typename F>
+inline constexpr bool isCoroutineHandle = false;
+
+template <typename P>
+inline constexpr bool isCoroutineHandle<std::coroutine_handle<P>> = true;
+
 /** Move-only void() callable; see the file comment for the layout. */
 class InlineAction
 {
@@ -40,13 +48,9 @@ class InlineAction
 
     InlineAction() noexcept = default;
 
-    /** Fast path: an action that resumes @p h when invoked. */
-    InlineAction(std::coroutine_handle<> h) noexcept
-        : InlineAction(Resumer{h})
-    {}
-
     template <typename F>
         requires(!std::is_same_v<std::decay_t<F>, InlineAction>
+                 && !isCoroutineHandle<std::decay_t<F>>
                  && std::is_invocable_r_v<void, std::decay_t<F> &>)
     InlineAction(F &&f)
     {
@@ -111,13 +115,6 @@ class InlineAction
         void (*relocate)(void *src, void *dst) noexcept;
         /** Null when the capture is trivially destructible. */
         void (*destroy)(void *) noexcept;
-    };
-
-    /** The capture behind the coroutine-handle constructor. */
-    struct Resumer
-    {
-        std::coroutine_handle<> h;
-        void operator()() const { h.resume(); }
     };
 
     template <typename F>

@@ -183,9 +183,6 @@ class Coro
     /** Access the promise (kernel internals only). */
     promise_type &promise() const { return handle.promise(); }
 
-    /** Start or resume the coroutine (kernel internals only). */
-    void resume() { handle.resume(); }
-
     /**
      * Release ownership of the frame to the caller (kernel internals
      * only; the Simulator takes detached coroutines this way).

@@ -2,12 +2,17 @@
  * @file
  * The discrete-event queue at the heart of the simulator.
  *
- * Events are (tick, sequence, action) triples drained in strict
+ * Events are (tick, sequence, word) triples drained in strict
  * (tick, seq) order. Ordinary schedules draw fresh sequence numbers
  * from the queue's counter, so events scheduled for one tick run in
  * scheduling order and every simulation is deterministic; keyed
  * events (scheduleWithSeq, DESIGN.md §14) bring their own from the
  * kKeyedSeqBand.
+ *
+ * An event's payload is one EventWord: a coroutine handle to resume
+ * or an intrusive EventTarget to fire. An arbitrary closure waits in
+ * a pooled target of the queue's own and travels as that target's
+ * word, so the queue moves nothing but words.
  *
  * The queue has two exact parts:
  *
@@ -16,9 +21,7 @@
  *    hand-offs: close to half of all events). Appending and popping
  *    are O(1) and nothing sifts.
  *  - a binary min-heap of trivially copyable 24-byte (tick, seq,
- *    slot) keys. The InlineAction payloads live in a slab indexed by
- *    slot, with a free list, so a sift moves 24 bytes and each
- *    payload moves once in and once out.
+ *    word) keys.
  *
  * Every lane entry sits at laneTick and the lane receives fresh seqs
  * in increasing order, so the lane is itself sorted on (tick, seq).
@@ -36,43 +39,103 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/action.hh"
+#include "sim/logging.hh"
 #include "sim/sched.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::sim
 {
 
-/** Deterministic priority queue of timed actions. */
+/**
+ * An intrusive event: a record the queue fires by calling fire with
+ * the record's own address. A model embeds it in a record it already
+ * keeps (a bus booking, a network frame) and points fire at the step
+ * due next, so scheduling the step builds nothing.
+ */
+struct EventTarget
+{
+    void (*fire)(EventTarget *self);
+};
+
+/**
+ * One event's payload in one machine word: a coroutine handle to
+ * resume (bit 0 clear) or an EventTarget to fire (bit 0 set). Frames
+ * and targets are at least 8-aligned, which leaves bit 0 for the tag.
+ */
+class EventWord
+{
+  public:
+    /** Empty; running it is undefined. */
+    EventWord() noexcept = default;
+
+    EventWord(std::coroutine_handle<> h)
+        : bits(reinterpret_cast<std::uintptr_t>(h.address()))
+    {
+        if (bits & targetTag) [[unlikely]]
+            panic("EventWord: coroutine frame %p is misaligned",
+                  h.address());
+    }
+
+    EventWord(EventTarget *target) noexcept
+        : bits(reinterpret_cast<std::uintptr_t>(target) | targetTag)
+    {}
+
+    /** Resume the handle or fire the target. */
+    void
+    operator()() const
+    {
+        if (bits & targetTag) {
+            auto *target = reinterpret_cast<EventTarget *>(bits
+                                                           & ~targetTag);
+            target->fire(target);
+        } else {
+            std::coroutine_handle<>::from_address(
+                reinterpret_cast<void *>(bits))
+                .resume();
+        }
+    }
+
+  private:
+    static constexpr std::uintptr_t targetTag = 1;
+    static_assert(alignof(EventTarget) > targetTag);
+
+    std::uintptr_t bits = 0;
+};
+
+/** Deterministic priority queue of timed events. */
 class EventQueue
 {
   public:
     using Action = InlineAction;
 
-    /** Schedule @p action to run at absolute time @p when. */
+    EventQueue() = default;
+
+    /** Pooled closures point back at their queue, which never moves. */
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Schedule @p event to run at absolute time @p when. */
     void
-    schedule(Tick when, Action action)
+    schedule(Tick when, EventWord event)
     {
         std::uint64_t seq = nextSeq++;
         if (when == laneTick)
-            lane.emplace_back(seq, std::move(action));
+            lane.push_back(LaneEntry{seq, event});
         else
-            push(when, seq, std::move(action));
+            push(when, seq, event);
     }
 
-    /**
-     * Fast path: schedule the resumption of @p h at time @p when.
-     * Equivalent to scheduling [h] { h.resume(); } — the handle is
-     * stored in the action's inline buffer, so no allocation occurs.
-     */
+    /** Schedule the closure @p action to run at time @p when. */
     void
-    schedule(Tick when, std::coroutine_handle<> h)
+    schedule(Tick when, Action action)
     {
-        schedule(when, Action(h));
+        schedule(when, wrap(std::move(action)));
     }
 
     /**
@@ -85,9 +148,33 @@ class EventQueue
      * drain first at any shared tick.
      */
     void
+    scheduleWithSeq(Tick when, std::uint64_t seq, EventWord event)
+    {
+        push(when, seq, event);
+    }
+
+    /** Keyed schedule of the closure @p action. */
+    void
     scheduleWithSeq(Tick when, std::uint64_t seq, Action action)
     {
-        push(when, seq, std::move(action));
+        push(when, seq, wrap(std::move(action)));
+    }
+
+    /**
+     * Park @p action in a pooled target and return the target's word.
+     * Running the word frees the target and then invokes the action;
+     * a word never run keeps its action until the queue dies.
+     */
+    EventWord
+    wrap(Action action)
+    {
+        Closure *c = freeClosures;
+        if (c)
+            freeClosures = c->nextFree;
+        else
+            c = closures.emplace_back(std::make_unique<Closure>(this)).get();
+        c->action = std::move(action);
+        return c;
     }
 
     /** True when no events remain. */
@@ -107,19 +194,19 @@ class EventQueue
     }
 
     /**
-     * Remove and return the earliest pending action.
-     * @pre !empty().
+     * Remove and return the earliest pending event; the caller runs
+     * it. @pre !empty().
      */
-    Action
+    EventWord
     pop()
     {
         if (laneHead != lane.size() && !heapTopFirst()) {
-            Action action = std::move(lane[laneHead].action);
+            EventWord event = lane[laneHead].event;
             if (++laneHead == lane.size()) {
                 lane.clear();
                 laneHead = 0;
             }
-            return action;
+            return event;
         }
         std::pop_heap(keys.begin(), keys.end(), KeyAfter{});
         Key key = keys.back();
@@ -128,30 +215,32 @@ class EventQueue
         // tick append to it instead of sifting through the heap.
         if (laneHead == lane.size())
             laneTick = key.when;
-        freeSlots.push_back(key.slot);
-        return std::move(slab[key.slot]);
+        return key.event;
     }
 
-    /** Pre-size the queue for @p n pending events. */
+    /** Pre-size the queue for @p n pending events, closures included. */
     void
     reserve(std::size_t n)
     {
         keys.reserve(n);
-        slab.reserve(n);
-        freeSlots.reserve(n);
         lane.reserve(n);
+        while (closures.size() < n) {
+            Closure *c
+                = closures.emplace_back(std::make_unique<Closure>(this)).get();
+            c->nextFree = freeClosures;
+            freeClosures = c;
+        }
     }
 
     /** Total number of events ever scheduled (for stats/tests). */
     std::uint64_t scheduledCount() const { return nextSeq; }
 
   private:
-    /** Heap key; the payload waits in slab[slot]. */
     struct Key
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        EventWord event;
     };
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
@@ -170,8 +259,30 @@ class EventQueue
     struct LaneEntry
     {
         std::uint64_t seq;
-        Action action;
+        EventWord event;
     };
+
+    /** A closure waiting in the queue; free ones form a list. */
+    struct Closure final : EventTarget
+    {
+        explicit Closure(EventQueue *q) : EventTarget{&runClosure}, owner(q)
+        {
+        }
+
+        EventQueue *owner;
+        Action action;
+        Closure *nextFree = nullptr;
+    };
+
+    static void
+    runClosure(EventTarget *self)
+    {
+        auto *c = static_cast<Closure *>(self);
+        Action action = std::move(c->action);
+        c->nextFree = c->owner->freeClosures;
+        c->owner->freeClosures = c;
+        action();
+    }
 
     /** Does the heap top precede the lane head? @pre lane nonempty. */
     bool
@@ -185,27 +296,20 @@ class EventQueue
     }
 
     void
-    push(Tick when, std::uint64_t seq, Action action)
+    push(Tick when, std::uint64_t seq, EventWord event)
     {
-        auto slot = static_cast<std::uint32_t>(slab.size());
-        if (freeSlots.empty()) {
-            slab.push_back(std::move(action));
-        } else {
-            slot = freeSlots.back();
-            freeSlots.pop_back();
-            slab[slot] = std::move(action);
-        }
-        keys.push_back(Key{when, seq, slot});
+        keys.push_back(Key{when, seq, event});
         std::push_heap(keys.begin(), keys.end(), KeyAfter{});
     }
 
     std::vector<Key> keys; //!< min-heap (KeyAfter order)
-    std::vector<Action> slab;
-    std::vector<std::uint32_t> freeSlots;
     std::vector<LaneEntry> lane; //!< served from laneHead onwards
     std::size_t laneHead = 0;
     Tick laneTick = 0; //!< the tick of every lane entry
     std::uint64_t nextSeq = 0;
+    /** Every closure ever built; none is built before the first. */
+    std::vector<std::unique_ptr<Closure>> closures;
+    Closure *freeClosures = nullptr;
 };
 
 } // namespace howsim::sim

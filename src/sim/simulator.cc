@@ -80,36 +80,42 @@ Simulator::current()
 }
 
 void
-Simulator::scheduleAt(Tick when, EventQueue::Action action)
+Simulator::scheduleAt(Tick when, EventWord event)
 {
     if (when < currentTick)
         panic("scheduleAt: tick %llu is in the past (now %llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(currentTick));
-    queue.schedule(when, std::move(action));
+    queue.schedule(when, event);
+}
+
+void
+Simulator::scheduleIn(Tick delay, EventWord event)
+{
+    queue.schedule(currentTick + delay, event);
+}
+
+void
+Simulator::scheduleAt(Tick when, EventQueue::Action action)
+{
+    scheduleAt(when, queue.wrap(std::move(action)));
 }
 
 void
 Simulator::scheduleIn(Tick delay, EventQueue::Action action)
 {
-    queue.schedule(currentTick + delay, std::move(action));
-}
-
-void
-Simulator::scheduleAt(Tick when, std::coroutine_handle<> h)
-{
-    scheduleAt(when, EventQueue::Action(h));
-}
-
-void
-Simulator::scheduleIn(Tick delay, std::coroutine_handle<> h)
-{
-    queue.schedule(currentTick + delay, h);
+    scheduleIn(delay, queue.wrap(std::move(action)));
 }
 
 void
 Simulator::postKeyed(Tick when, std::uint64_t key,
                      EventQueue::Action action)
+{
+    postKeyed(when, key, queue.wrap(std::move(action)));
+}
+
+void
+Simulator::postKeyed(Tick when, std::uint64_t key, EventWord event)
 {
     if (!(key & kKeyedSeqBand)) {
         panic("postKeyed: key %llu is outside the keyed band "
@@ -121,7 +127,7 @@ Simulator::postKeyed(Tick when, std::uint64_t key,
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(currentTick));
     }
-    queue.scheduleWithSeq(when, key, std::move(action));
+    queue.scheduleWithSeq(when, key, event);
 }
 
 ProcessRef
@@ -141,7 +147,9 @@ Simulator::spawn(Coro<void> body, std::string name)
     }
     raw->body.promise().onDone = raw;
     // Start the body at the current tick, after already-queued events.
-    queue.schedule(currentTick, [raw] { raw->body.resume(); });
+    queue.schedule(currentTick,
+                   std::coroutine_handle<>(Coro<void>::Handle::from_promise(
+                       raw->body.promise())));
     return proc;
 }
 
@@ -201,18 +209,18 @@ Simulator::run(Tick until)
         // path is exactly what it was before obs existed.
         while (!queue.empty() && queue.nextTick() <= until) {
             currentTick = queue.nextTick();
-            auto action = queue.pop();
+            EventWord event = queue.pop();
             ++executed;
-            action();
+            event();
         }
     } else {
         obs::Timeline &timeline = obsSession->timeline();
         while (!queue.empty() && queue.nextTick() <= until) {
             currentTick = queue.nextTick();
             timeline.maybeSample(currentTick);
-            auto action = queue.pop();
+            EventWord event = queue.pop();
             ++executed;
-            action();
+            event();
         }
         obsSession->metrics()
             .gauge("sim.events_executed")

@@ -66,21 +66,21 @@ class Simulator
     /** Current simulated time. */
     Tick now() const { return currentTick; }
 
-    /** Schedule an action at an absolute tick (>= now). */
+    /**
+     * Schedule @p event, a coroutine handle to resume or an
+     * EventTarget to fire, at an absolute tick (>= now). The event
+     * travels as one word: scheduling it builds nothing.
+     */
+    void scheduleAt(Tick when, EventWord event);
+
+    /** Schedule @p event @p delay ticks from now. */
+    void scheduleIn(Tick delay, EventWord event);
+
+    /** Schedule a closure at an absolute tick (>= now). */
     void scheduleAt(Tick when, EventQueue::Action action);
 
-    /** Schedule an action @p delay ticks from now. */
+    /** Schedule a closure @p delay ticks from now. */
     void scheduleIn(Tick delay, EventQueue::Action action);
-
-    /**
-     * Fast path: schedule the resumption of @p h at an absolute tick.
-     * The handle travels in the event's inline buffer — scheduling a
-     * coroutine resumption allocates nothing.
-     */
-    void scheduleAt(Tick when, std::coroutine_handle<> h);
-
-    /** Fast path: resume @p h @p delay ticks from now. */
-    void scheduleIn(Tick delay, std::coroutine_handle<> h);
 
     /**
      * Start a top-level process at the current time. The returned
@@ -103,12 +103,15 @@ class Simulator
     void spawnDetached(Coro<void> body, std::string_view name = "proc");
 
     /**
-     * Schedule @p action at absolute tick @p when with the explicit
+     * Schedule @p event at absolute tick @p when with the explicit
      * sequence number @p key, drawn from a KeyStream allocated with
      * allocKeyStream(). At a shared tick keyed events run after every
      * ordinary event, in key order (DESIGN.md §14). Panics on a key
      * outside kKeyedSeqBand or a tick in the past.
      */
+    void postKeyed(Tick when, std::uint64_t key, EventWord event);
+
+    /** postKeyed() of a closure. */
     void postKeyed(Tick when, std::uint64_t key,
                    EventQueue::Action action);
 
@@ -132,8 +135,7 @@ class Simulator
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            simulator.postKeyed(simulator.now() + delay, keys.next(),
-                                EventQueue::Action(h));
+            simulator.postKeyed(simulator.now() + delay, keys.next(), h);
         }
 
         void await_resume() const noexcept {}

@@ -14,10 +14,11 @@
 
 using namespace howsim::sim;
 
-// Global allocation counter: the zero-allocation claims of the
-// InlineAction fast paths are part of the event loop's contract, so
-// they are asserted, not assumed. Counting is cheap and the counter
-// is only compared across regions that perform no other allocation.
+// Global allocation counter: the zero-allocation claims of the event
+// words and of pooled small closures are part of the event loop's
+// contract, so they are asserted, not assumed. Counting is cheap and
+// the counter is only compared across regions that perform no other
+// allocation.
 namespace
 {
 
@@ -160,6 +161,67 @@ TEST(EventQueue, SmallCallableSchedulesWithoutAllocation)
     EXPECT_EQ(hits, 1);
 }
 
+namespace
+{
+
+/** An EventTarget that records each address it was fired with. */
+struct RecordingTarget : EventTarget
+{
+    std::vector<EventTarget *> *fired;
+
+    explicit RecordingTarget(std::vector<EventTarget *> *f)
+        : EventTarget{&record}, fired(f)
+    {
+    }
+
+    static void
+    record(EventTarget *self)
+    {
+        static_cast<RecordingTarget *>(self)->fired->push_back(self);
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, HandlesAndTargetsScheduleWithoutAllocation)
+{
+    EventQueue q;
+    q.reserve(16);
+    std::vector<EventTarget *> fired;
+    fired.reserve(16);
+    RecordingTarget target(&fired);
+    std::coroutine_handle<> noop = std::noop_coroutine();
+    std::size_t before = newCalls;
+    for (int i = 0; i < 4; ++i) {
+        q.schedule(static_cast<Tick>(i), noop);
+        q.schedule(static_cast<Tick>(i), &target);
+        q.scheduleWithSeq(static_cast<Tick>(i),
+                          kKeyedSeqBand | static_cast<std::uint64_t>(i),
+                          noop);
+        q.scheduleWithSeq(static_cast<Tick>(i),
+                          kKeyedSeqBand | static_cast<std::uint64_t>(i),
+                          &target);
+    }
+    while (!q.empty())
+        q.pop()();
+    std::size_t after = newCalls;
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(fired.size(), 8u);
+}
+
+TEST(EventQueue, TargetFiresOnceWithItsOwnAddress)
+{
+    EventQueue q;
+    std::vector<EventTarget *> fired;
+    RecordingTarget a(&fired);
+    RecordingTarget b(&fired);
+    q.schedule(2, &b);
+    q.schedule(1, &a);
+    while (!q.empty())
+        q.pop()();
+    EXPECT_EQ(fired, (std::vector<EventTarget *>{&a, &b}));
+}
+
 TEST(EventQueue, SameTickLaneReusesItsCapacity)
 {
     // Events scheduled at the tick being drained take the FIFO lane;
@@ -255,7 +317,7 @@ TEST(EventQueue, HeapCaptureDestroyedExactlyOnce)
 TEST(EventQueue, SiftingThroughTheHeapPreservesCaptures)
 {
     // Schedule in reverse tick order so every push sifts past the
-    // existing entries, exercising InlineAction relocation.
+    // existing entries; the captures wait in pooled closures.
     EventQueue q;
     int alive = 0;
     std::vector<int> order;
@@ -290,17 +352,6 @@ TEST(InlineAction, MoveTransfersOwnership)
         EXPECT_EQ(alive, 1);
     }
     EXPECT_EQ(alive, 0);
-}
-
-TEST(InlineAction, CoroutineHandleConstructsWithoutAllocation)
-{
-    std::coroutine_handle<> noop = std::noop_coroutine();
-    std::size_t before = newCalls;
-    InlineAction a(noop);
-    std::size_t after = newCalls;
-    EXPECT_EQ(after, before);
-    EXPECT_TRUE(static_cast<bool>(a));
-    a();
 }
 
 TEST(Ticks, UnitConversions)

@@ -6,17 +6,22 @@
  * resolution, for any schedule/pop interleaving, keyed events and
  * schedules below the drain tick included. A randomized differential
  * fuzz plus directed schedules (same-tick bursts, far-future
- * clusters, refill boundaries, tick saturation) drive both.
+ * clusters, refill boundaries, tick saturation) drive both. The
+ * oracle keeps closures; the queue under test receives each event as
+ * a closure, a coroutine handle or an EventTarget, picked at random.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/coro.hh"
 #include "sim/event_queue.hh"
 
 using namespace howsim::sim;
@@ -116,11 +121,41 @@ class OracleQueue
 /** (tick, id) drain record; equal sequences ⇔ identical schedules. */
 using Trace = std::vector<std::pair<Tick, int>>;
 
+/** A coroutine that records (@p when, @p id) when it is resumed. */
+Coro<void>
+recordOnResume(Trace &trace, Tick when, int id)
+{
+    trace.emplace_back(when, id);
+    co_return;
+}
+
+/** An EventTarget that records its (when, id) when it fires. */
+struct RecordingTarget : EventTarget
+{
+    Trace *trace;
+    Tick when;
+    int id;
+
+    RecordingTarget(Trace *t, Tick w, int i)
+        : EventTarget{&record}, trace(t), when(w), id(i)
+    {
+    }
+
+    static void
+    record(EventTarget *self)
+    {
+        auto *r = static_cast<RecordingTarget *>(self);
+        r->trace->emplace_back(r->when, r->id);
+    }
+};
+
 /**
  * The queue under test and the oracle, driven by one op stream.
  * Every schedule lands in both with the same tick, seq and id;
  * drains record into per-queue traces that the tests compare
- * element-wise.
+ * element-wise. The oracle gets a closure; the queue under test
+ * gets a closure, a coroutine handle or an EventTarget, as the
+ * kinds RNG picks.
  */
 struct Twins
 {
@@ -128,6 +163,11 @@ struct Twins
     EventQueue queue;
     Trace oracleTrace, queueTrace;
     int nextId = 0;
+    Rng kinds;
+    std::vector<Coro<void>> frames;
+    std::deque<RecordingTarget> targets;
+
+    explicit Twins(std::uint64_t seed = 0) : kinds(seed) {}
 
     void
     schedule(Tick when)
@@ -136,8 +176,8 @@ struct Twins
         oracle.schedule(when, [this, when, id] {
             oracleTrace.emplace_back(when, id);
         });
-        queue.schedule(when, [this, when, id] {
-            queueTrace.emplace_back(when, id);
+        toQueue(when, id, [&](auto event) {
+            queue.schedule(when, std::move(event));
         });
     }
 
@@ -148,9 +188,32 @@ struct Twins
         oracle.scheduleWithSeq(when, key, [this, when, id] {
             oracleTrace.emplace_back(when, id);
         });
-        queue.scheduleWithSeq(when, key, [this, when, id] {
-            queueTrace.emplace_back(when, id);
+        toQueue(when, id, [&](auto event) {
+            queue.scheduleWithSeq(when, key, std::move(event));
         });
+    }
+
+    /** Pass @p schedule the queue's copy of event @p id. */
+    template <typename Schedule>
+    void
+    toQueue(Tick when, int id, Schedule &&schedule)
+    {
+        switch (kinds.below(3)) {
+          case 0:
+            schedule([this, when, id] {
+                queueTrace.emplace_back(when, id);
+            });
+            break;
+          case 1: {
+            Coro<void>::Handle h
+                = recordOnResume(queueTrace, when, id).release();
+            frames.emplace_back(h);
+            schedule(std::coroutine_handle<>(h));
+            break;
+          }
+          default:
+            schedule(&targets.emplace_back(&queueTrace, when, id));
+        }
     }
 
     /** Pop one event from each; returns the tick it ran at. */
@@ -235,7 +298,7 @@ TEST(SchedConformance, RandomTrafficDrainsIdentically)
 {
     for (std::uint64_t seed : {1ull, 42ull, 20260807ull}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Twins twins;
+        Twins twins(seed);
         Rng rng(seed);
         Tick now = 0;
         for (int op = 0; op < 20000; ++op) {
@@ -386,7 +449,7 @@ TEST(SchedConformance, SameTickHeavyTrafficDrainsIdentically)
 {
     for (std::uint64_t seed : {2ull, 99ull, 20260809ull}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Twins twins;
+        Twins twins(seed);
         Rng rng(seed);
         Tick now = 0;
         for (int op = 0; op < 20000; ++op) {
@@ -429,7 +492,7 @@ TEST(SchedConformance, KeyedEventsMixWithLaneAppends)
 {
     for (std::uint64_t seed : {3ull, 17ull, 20261017ull}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Twins twins;
+        Twins twins(seed);
         Rng rng(seed);
         KeyStream streams[3] = {KeyStream(0), KeyStream(1),
                                 KeyStream(2)};
@@ -499,7 +562,7 @@ TEST(SchedConformance, PushesBelowTheDrainTickDrainFirst)
     // to 1 µs below the current drain tick.
     for (std::uint64_t seed : {5ull, 23ull}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        Twins fuzz;
+        Twins fuzz(seed);
         Rng rng(seed);
         KeyStream stream(1);
         Tick now = microseconds(10);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -512,6 +513,33 @@ TEST(SimulatorDeathTest, PostKeyedRejectsPastTick)
     sim.scheduleAt(20, [] {});
     sim.run();
     EXPECT_DEATH(sim.postKeyed(10, keys.next(), [] {}), "in the past");
+}
+
+TEST(SimulatorDeathTest, ScheduleAtRejectsPastTickForAHandle)
+{
+    Simulator sim;
+    sim.scheduleAt(20, [] {});
+    sim.run();
+    std::coroutine_handle<> noop = std::noop_coroutine();
+    EXPECT_DEATH(sim.scheduleAt(10, noop), "in the past");
+}
+
+TEST(SimulatorDeathTest, ScheduleAtRejectsPastTickForATarget)
+{
+    Simulator sim;
+    sim.scheduleAt(20, [] {});
+    sim.run();
+    EventTarget target{[](EventTarget *) {}};
+    EXPECT_DEATH(sim.scheduleAt(10, &target), "in the past");
+}
+
+// Bit 0 of an event word tags targets, so a handle must leave it clear.
+TEST(SimulatorDeathTest, RejectsAHandleWithTheTagBitSet)
+{
+    Simulator sim;
+    alignas(8) static unsigned char frame[16];
+    auto h = std::coroutine_handle<>::from_address(frame + 1);
+    EXPECT_DEATH(sim.scheduleAt(0, h), "misaligned");
 }
 
 TEST(SimulatorDeathTest, AcceptsOnlyOnePartition)
