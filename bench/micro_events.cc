@@ -3,19 +3,17 @@
  * Event-loop microbenchmark: host-time cost of scheduling and
  * dispatching simulator events.
  *
- * Payload-shape costs through the event queue — a small
- * trivially-copyable lambda (inline buffer), the coroutine-handle
- * fast path (the dominant event in real simulations), and an
- * oversized capture (heap fallback, present to quantify the
- * fallback, not because the simulator uses it) — plus the
- * uncontended Resource and single-waiter Trigger round trips.
+ * Payload-shape costs through the event queue — a one-pointer
+ * lambda (a closure held in place by its std::function) and the
+ * coroutine-handle fast path (the dominant event in real
+ * simulations) — plus the uncontended Resource and single-waiter
+ * Trigger round trips.
  *
- * Unlike micro_sim (google-benchmark, human-oriented), this binary
- * feeds the BENCH_events.json perf trajectory via BenchHarness, so
- * regressions in the per-event cost are visible PR over PR.
+ * The binary feeds the BENCH_events.json perf trajectory via
+ * BenchHarness, so regressions in the per-event cost are visible
+ * change over change.
  */
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 
@@ -40,7 +38,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Schedule-and-drain throughput for a small inline lambda. */
+/** Schedule-and-drain throughput for a one-pointer lambda. */
 double
 lambdaEventsPerSec(int batches, int perBatch)
 {
@@ -81,28 +79,6 @@ coroutineEventsPerSec(int procs, int hops)
     }
     double wall = secondsSince(start);
     return static_cast<double>(executed) / wall;
-}
-
-/** Heap-fallback throughput: captures far beyond the inline buffer. */
-double
-heapFallbackEventsPerSec(int batches, int perBatch)
-{
-    std::uint64_t sink = 0;
-    auto start = std::chrono::steady_clock::now();
-    for (int b = 0; b < batches; ++b) {
-        EventQueue q;
-        q.reserve(static_cast<std::size_t>(perBatch));
-        std::array<std::uint64_t, 16> payload{};
-        payload[0] = static_cast<std::uint64_t>(b);
-        for (int i = 0; i < perBatch; ++i)
-            q.schedule(static_cast<Tick>(i * 7 % 1000),
-                       [payload, &sink] { sink += payload[0] + 1; });
-        while (!q.empty())
-            q.pop()();
-    }
-    double wall = secondsSince(start);
-    return static_cast<double>(sink > 0 ? batches * perBatch : 0)
-           / wall;
 }
 
 /**
@@ -171,16 +147,12 @@ main()
 
     double lambda = lambdaEventsPerSec(20, 100000);
     double coro = coroutineEventsPerSec(1000, 2000);
-    double heapFb = heapFallbackEventsPerSec(20, 100000);
     double resFast = resourceUncontendedOpsPerSec(2000000);
     double trigFast = triggerFireOpsPerSec(1000000);
 
     std::printf("event-loop microbenchmark (host events/sec)\n");
-    std::printf("  %-34s %12.3g\n", "inline lambda schedule+dispatch",
-                lambda);
+    std::printf("  %-34s %12.3g\n", "closure schedule+dispatch", lambda);
     std::printf("  %-34s %12.3g\n", "coroutine-handle fast path", coro);
-    std::printf("  %-34s %12.3g\n", "oversized capture (heap fallback)",
-                heapFb);
     std::printf("  %-34s %12.3g\n", "resource uncontended acquire",
                 resFast);
     std::printf("  %-34s %12.3g\n", "trigger single-waiter fire",
@@ -188,7 +160,6 @@ main()
 
     harness.metric("lambda_events_per_sec", lambda);
     harness.metric("coroutine_events_per_sec", coro);
-    harness.metric("heap_fallback_events_per_sec", heapFb);
     harness.metric("resource_uncontended_ops_per_sec", resFast);
     harness.metric("trigger_fire_ops_per_sec", trigFast);
     return 0;

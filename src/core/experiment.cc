@@ -7,7 +7,6 @@
 
 #include "arch/cluster_machine.hh"
 #include "arch/cost_model.hh"
-#include "core/availability.hh"
 #include "diskos/active_disk_array.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
@@ -165,15 +164,49 @@ publishFaultMetrics(obs::Session *sess, fault::Injector *inj)
 }
 
 /**
- * The failure-detector wiring of one faulted experiment: the
- * machine-specific AvailabilityTransport adapter plus the Detector
- * spawned through it. Construct after the machine's keyed protocols
- * are switched on (key-stream allocation order) and before the runner
- * executes; inert when no fail-stop is scheduled. Victims that rejoin
- * trigger a rebuild of their share of the dataset (inputBytes/scale —
- * the striped share every machine gives one device).
+ * Binds fault::Detector to one machine's availability surface —
+ * heartbeat(), rebuildChunk() and crossLatency(), which every
+ * architecture spells alike — over its @p n drives or nodes.
  */
-template <typename Adapter, typename Machine>
+template <typename Machine>
+class MachineAvailability final : public fault::AvailabilityTransport
+{
+  public:
+    MachineAvailability(Machine &m, int n) : machine(m), devices(n) {}
+
+    sim::Coro<bool>
+    heartbeat(int device) override
+    {
+        return machine.heartbeat(device);
+    }
+
+    sim::Coro<void>
+    rebuildChunk(int device, std::uint64_t offset,
+                 std::uint64_t bytes) override
+    {
+        return machine.rebuildChunk(device, offset, bytes);
+    }
+
+    int deviceCount() const override { return devices; }
+
+    sim::Tick crossLatency() const override { return machine.crossLatency(); }
+
+  private:
+    Machine &machine;
+    int devices;
+};
+
+/**
+ * The failure-detector wiring of one faulted experiment: the
+ * machine's AvailabilityTransport plus the Detector spawned through
+ * it. Construct after the machine's keyed protocols are switched on
+ * (key-stream allocation order) and before the runner executes; inert
+ * when no fail-stop is scheduled. @p scale is the machine's device
+ * count. Victims that rejoin trigger a rebuild of their share of the
+ * dataset (inputBytes/scale — the striped share every machine gives
+ * one device).
+ */
+template <typename Machine>
 struct AvailabilityRig
 {
     AvailabilityRig(sim::Simulator &simulator, fault::Injector *inj,
@@ -182,7 +215,8 @@ struct AvailabilityRig
     {
         if (inj == nullptr || machine.stopSchedule().empty())
             return;
-        adapter = std::make_unique<Adapter>(machine);
+        adapter = std::make_unique<MachineAvailability<Machine>>(machine,
+                                                                 scale);
         bool rejoins = false;
         for (const auto &v : machine.stopSchedule().victims)
             rejoins = rejoins || v.rejoins();
@@ -215,7 +249,7 @@ struct AvailabilityRig
         m.counter("fault.rebuild.bytes").add(a.rebuiltBytes);
     }
 
-    std::unique_ptr<Adapter> adapter;
+    std::unique_ptr<MachineAvailability<Machine>> adapter;
     std::unique_ptr<fault::Detector> detector;
 };
 
@@ -250,9 +284,8 @@ runExperiment(const ExperimentConfig &config)
                                         config.drive, params);
         // Batch runs use the keyed barrier; runTraffic does not.
         machine.useKeyedProtocols();
-        AvailabilityRig<AdAvailability, diskos::ActiveDiskArray> rig(
-            simulator, faultScope.injector(), machine,
-            data.inputBytes, config.scale);
+        AvailabilityRig rig(simulator, faultScope.injector(), machine,
+                            data.inputBytes, config.scale);
         tasks::TaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());
@@ -267,9 +300,8 @@ runExperiment(const ExperimentConfig &config)
         // Batch runs use the keyed message hops and barrier;
         // runTraffic does not.
         machine.useKeyedProtocols();
-        AvailabilityRig<ClusterAvailability, arch::ClusterMachine>
-            rig(simulator, faultScope.injector(), machine,
-                data.inputBytes, config.scale);
+        AvailabilityRig rig(simulator, faultScope.injector(), machine,
+                            data.inputBytes, config.scale);
         tasks::TaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());
@@ -284,9 +316,8 @@ runExperiment(const ExperimentConfig &config)
         params.fcLoops = config.interconnectLoops;
         smp::SmpMachine machine(simulator, config.scale, config.scale,
                                 config.drive, params);
-        AvailabilityRig<SmpAvailability, smp::SmpMachine> rig(
-            simulator, faultScope.injector(), machine,
-            data.inputBytes, config.scale);
+        AvailabilityRig rig(simulator, faultScope.injector(), machine,
+                            data.inputBytes, config.scale);
         tasks::SmpTaskRunner runner(simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());

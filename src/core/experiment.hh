@@ -103,11 +103,11 @@ struct ExperimentConfig
      * Traffic-plan spec for the multi-user driver (see
      * docs/traffic grammar in DESIGN.md §15, e.g.
      * "seed=7,rate=20,duration.ms=500,mix.select=1"). Only
-     * traffic::runTraffic consumes it (empty there means "use the
-     * HOWSIM_TRAFFIC environment variable"); the single-query batch
-     * path ignores it apart from validation — a traffic plan is
-     * incompatible with stop.* fail-stop faults, whose recovery
-     * protocol assumes one batch query owns the machine.
+     * traffic::runTraffic consumes it (empty there is a fatal()
+     * error); the single-query batch path ignores it apart from
+     * validation — a traffic plan is incompatible with stop.*
+     * fail-stop faults, whose recovery protocol assumes one batch
+     * query owns the machine.
      */
     std::string traffic;
 };

@@ -62,7 +62,7 @@ constexpr int kRebuildStream = 1 << 20;
 /**
  * The machine-side services the detector needs, implemented per
  * architecture (ActiveDiskArray, ClusterMachine, SmpMachine) and
- * adapted through core/availability.hh.
+ * adapted by core::runExperiment (core/experiment.cc).
  */
 class AvailabilityTransport
 {

@@ -338,16 +338,6 @@ StopSchedule::aliveAt(int device, sim::Tick now) const
 }
 
 bool
-StopSchedule::degradedAt(sim::Tick now) const
-{
-    for (const Victim &v : victims) {
-        if (now >= v.stopAt && !(v.rejoins() && now >= v.restartAt))
-            return true;
-    }
-    return false;
-}
-
-bool
 StopSchedule::deathWithin(sim::Tick from, sim::Tick to) const
 {
     for (const Victim &v : victims) {

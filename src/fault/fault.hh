@@ -205,9 +205,6 @@ struct StopSchedule
     /** Is @p device serving at @p now? */
     bool aliveAt(int device, sim::Tick now) const;
 
-    /** Is any device down at @p now? */
-    bool degradedAt(sim::Tick now) const;
-
     /**
      * Does a death instant fall inside [@p from, @p to)? The traffic
      * driver retries exactly the queries whose first attempt

@@ -161,12 +161,6 @@ MsgLayer::recv(int host, int tag)
     co_return std::move(*m);
 }
 
-std::size_t
-MsgLayer::pendingCount(int host, int tag)
-{
-    return queueFor(host, tag).size();
-}
-
 void
 MsgLayer::retireTagRange(int tagLo, int tagHi)
 {

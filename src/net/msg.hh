@@ -88,9 +88,6 @@ class MsgLayer
      */
     sim::Coro<Message> recv(int host, int tag = 0);
 
-    /** Messages waiting in (@p host, @p tag)'s queue. */
-    std::size_t pendingCount(int host, int tag = 0);
-
     /**
      * Drop the (host, tag) queues with tag in [@p tagLo, @p tagHi) —
      * a completed traffic stream's band. All queues must be drained

@@ -31,8 +31,6 @@ Session::~Session()
 std::unique_ptr<Session>
 Session::fromEnv(std::string label)
 {
-    if (!compiledIn())
-        return nullptr;
     const char *traceDir = std::getenv("HOWSIM_TRACE_DIR");
     const char *metricsDir = std::getenv("HOWSIM_METRICS");
     if (!traceDir && !metricsDir)

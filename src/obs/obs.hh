@@ -5,16 +5,12 @@
  * A Session bundles the three collectors — MetricRegistry, TraceSink,
  * Timeline — for one simulation run, and owns where their output
  * lands. Nothing in the simulator observes unconditionally: every
- * instrumentation site first asks obs::session(), which is
- *
- *  - compile-time false (and everything folds away) when built with
- *    -DHOWSIM_OBS_COMPILED=0, and
- *  - a single thread-local pointer read otherwise,
- *
- * so the disabled path costs one predictable branch. Components that
- * sit on the event-loop hot path go further and cache the metric
- * pointers they need at construction time (null when no session was
- * active), making their per-event cost a null check.
+ * instrumentation site first asks obs::session(), a single
+ * thread-local pointer read, so the disabled path costs one
+ * predictable branch. Components that sit on the event-loop hot path
+ * go further and cache the metric pointers they need at construction
+ * time (null when no session was active), making their per-event cost
+ * a null check.
  *
  * Sessions are per-thread, like sim::Simulator::current(): the
  * parallel experiment runner gives each worker its own Session, each
@@ -37,15 +33,6 @@
 #include "obs/timeline.hh"
 #include "obs/trace_sink.hh"
 #include "sim/ticks.hh"
-
-/**
- * Compile-time master switch. Building with -DHOWSIM_OBS_COMPILED=0
- * turns every obs::session() query into a constant nullptr, letting
- * the optimizer delete all instrumentation.
- */
-#ifndef HOWSIM_OBS_COMPILED
-#define HOWSIM_OBS_COMPILED 1
-#endif
 
 namespace howsim::obs
 {
@@ -141,20 +128,11 @@ namespace detail_tls
 extern constinit thread_local Session *tlsSession;
 } // namespace detail_tls
 
-/** True unless built with -DHOWSIM_OBS_COMPILED=0. */
-constexpr bool
-compiledIn()
-{
-    return HOWSIM_OBS_COMPILED != 0;
-}
-
 /** The calling thread's active session, or null. The one guard every
  * instrumentation site goes through. */
 inline Session *
 session()
 {
-    if constexpr (!compiledIn())
-        return nullptr;
     return detail_tls::tlsSession;
 }
 

@@ -3,14 +3,14 @@
  * Per-simulator slab arena for simulation-lifetime allocations.
  *
  * The event loop's remaining allocator traffic is coroutine frames
- * (every spawned process and awaited child) and the rare oversized
- * InlineAction capture. Both are small, short-lived, and heavily
- * recycled, which general-purpose malloc serves through size-class
- * locks and thread caches it has to keep coherent machine-wide. An
- * Arena instead carves bump-pointer chunks and recycles freed blocks
- * through per-size-class free lists, so the steady state is a pop
- * from a singly linked list with no lock and no syscall; the chunks
- * are released wholesale when the owning Simulator tears down.
+ * (every spawned process and awaited child). They are small,
+ * short-lived, and heavily recycled, which general-purpose malloc
+ * serves through size-class locks and thread caches it has to keep
+ * coherent machine-wide. An Arena instead carves bump-pointer chunks
+ * and recycles freed blocks through per-size-class free lists, so the
+ * steady state is a pop from a singly linked list with no lock and no
+ * syscall; the chunks are released wholesale when the owning
+ * Simulator tears down.
  *
  * Threading contract: an arena belongs to one thread, the thread
  * whose ArenaScope installed it (a Simulator's constructing thread).
@@ -76,8 +76,8 @@ class Arena
     /**
      * Allocate from the calling thread's installed arena, or from
      * ::operator new when none is installed. The partner of
-     * release() for call sites (coroutine frames, action captures)
-     * that cannot know whether an arena is active.
+     * release() for call sites (coroutine frames) that cannot know
+     * whether an arena is active.
      */
     static void *allocateGlobal(std::size_t bytes);
 

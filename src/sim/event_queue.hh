@@ -39,12 +39,12 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/action.hh"
 #include "sim/logging.hh"
 #include "sim/sched.hh"
 #include "sim/ticks.hh"
@@ -108,11 +108,36 @@ class EventWord
     std::uintptr_t bits = 0;
 };
 
+/** True for any std::coroutine_handle. */
+template <typename F>
+inline constexpr bool isCoroutineHandle = false;
+
+template <typename P>
+inline constexpr bool isCoroutineHandle<std::coroutine_handle<P>> = true;
+
+/**
+ * The callable of a closure event. A coroutine handle is not a
+ * closure: it travels as an EventWord, so Closure refuses one at
+ * compile time, which also keeps schedule(t, handle) unambiguous.
+ */
+struct Closure : std::function<void()>
+{
+    Closure() = default;
+
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, Closure>
+                 && !isCoroutineHandle<std::decay_t<F>>
+                 && std::is_invocable_r_v<void, std::decay_t<F> &>)
+    Closure(F &&f) : std::function<void()>(std::forward<F>(f))
+    {
+    }
+};
+
 /** Deterministic priority queue of timed events. */
 class EventQueue
 {
   public:
-    using Action = InlineAction;
+    using Action = Closure;
 
     EventQueue() = default;
 
@@ -168,11 +193,12 @@ class EventQueue
     EventWord
     wrap(Action action)
     {
-        Closure *c = freeClosures;
+        PooledClosure *c = freeClosures;
         if (c)
             freeClosures = c->nextFree;
         else
-            c = closures.emplace_back(std::make_unique<Closure>(this)).get();
+            c = closures.emplace_back(std::make_unique<PooledClosure>(this))
+                    .get();
         c->action = std::move(action);
         return c;
     }
@@ -225,8 +251,9 @@ class EventQueue
         keys.reserve(n);
         lane.reserve(n);
         while (closures.size() < n) {
-            Closure *c
-                = closures.emplace_back(std::make_unique<Closure>(this)).get();
+            PooledClosure *c
+                = closures.emplace_back(std::make_unique<PooledClosure>(this))
+                      .get();
             c->nextFree = freeClosures;
             freeClosures = c;
         }
@@ -263,21 +290,22 @@ class EventQueue
     };
 
     /** A closure waiting in the queue; free ones form a list. */
-    struct Closure final : EventTarget
+    struct PooledClosure final : EventTarget
     {
-        explicit Closure(EventQueue *q) : EventTarget{&runClosure}, owner(q)
+        explicit PooledClosure(EventQueue *q)
+            : EventTarget{&runClosure}, owner(q)
         {
         }
 
         EventQueue *owner;
         Action action;
-        Closure *nextFree = nullptr;
+        PooledClosure *nextFree = nullptr;
     };
 
     static void
     runClosure(EventTarget *self)
     {
-        auto *c = static_cast<Closure *>(self);
+        auto *c = static_cast<PooledClosure *>(self);
         Action action = std::move(c->action);
         c->nextFree = c->owner->freeClosures;
         c->owner->freeClosures = c;
@@ -308,8 +336,8 @@ class EventQueue
     Tick laneTick = 0; //!< the tick of every lane entry
     std::uint64_t nextSeq = 0;
     /** Every closure ever built; none is built before the first. */
-    std::vector<std::unique_ptr<Closure>> closures;
-    Closure *freeClosures = nullptr;
+    std::vector<std::unique_ptr<PooledClosure>> closures;
+    PooledClosure *freeClosures = nullptr;
 };
 
 } // namespace howsim::sim

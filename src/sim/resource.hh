@@ -1,7 +1,6 @@
 /**
  * @file
- * Counting resource (semaphore) with FIFO grant order, plus a
- * bandwidth-pipe helper built on top of it.
+ * Counting resource (semaphore) with FIFO grant order.
  */
 
 #ifndef HOWSIM_SIM_RESOURCE_HH
@@ -11,7 +10,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "sim/coro.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
@@ -119,60 +117,6 @@ class Resource
     obs::Histogram *obsWait = nullptr;
     obs::Histogram *obsDepth = nullptr;
     obs::Session *obsSess = nullptr;
-};
-
-/**
- * RAII grant of resource units; releases on destruction. Obtain with
- * ScopedGrant::make() inside a coroutine.
- */
-class ScopedGrant
-{
-  public:
-    ScopedGrant() = default;
-
-    ScopedGrant(Resource &r, std::int64_t n) : res(&r), amount(n) {}
-
-    ScopedGrant(ScopedGrant &&other) noexcept
-        : res(std::exchange(other.res, nullptr)), amount(other.amount)
-    {}
-
-    ScopedGrant &
-    operator=(ScopedGrant &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            res = std::exchange(other.res, nullptr);
-            amount = other.amount;
-        }
-        return *this;
-    }
-
-    ScopedGrant(const ScopedGrant &) = delete;
-    ScopedGrant &operator=(const ScopedGrant &) = delete;
-
-    ~ScopedGrant() { reset(); }
-
-    /** Acquire @p n units of @p r and wrap them in a guard. */
-    static Coro<ScopedGrant>
-    make(Resource &r, std::int64_t n = 1)
-    {
-        co_await r.acquire(n);
-        co_return ScopedGrant(r, n);
-    }
-
-    /** Release early (idempotent). */
-    void
-    reset()
-    {
-        if (res) {
-            res->release(amount);
-            res = nullptr;
-        }
-    }
-
-  private:
-    Resource *res = nullptr;
-    std::int64_t amount = 0;
 };
 
 } // namespace howsim::sim

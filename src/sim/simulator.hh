@@ -40,11 +40,10 @@ using ProcessRef = std::shared_ptr<Process>;
  * so that awaitables (delays, channels, resources) can reach the
  * event queue without threading a pointer through every call.
  *
- * Coroutine frames and oversized action captures are carved from a
- * per-simulator Arena installed for the constructing thread, so a
- * simulation's thousands of short-lived frames recycle through
- * size-class free lists instead of the global heap and are released
- * wholesale when the simulator dies.
+ * Coroutine frames are carved from a per-simulator Arena installed
+ * for the constructing thread, so a simulation's thousands of
+ * short-lived frames recycle through size-class free lists instead of
+ * the global heap and are released wholesale when the simulator dies.
  *
  * A simulator runs on the thread that built it; independent
  * experiments run in parallel as independent simulators

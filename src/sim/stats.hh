@@ -6,12 +6,8 @@
 #ifndef HOWSIM_SIM_STATS_HH
 #define HOWSIM_SIM_STATS_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
-
-#include "sim/ticks.hh"
 
 namespace howsim::sim
 {
@@ -62,57 +58,6 @@ class Breakdown
 
   private:
     std::map<std::string, double> buckets;
-};
-
-/**
- * Tracks busy intervals of a simulated component so idle time can be
- * reported. Busy time accumulates via markBusy(); idle time is
- * whatever remains of the observation window.
- */
-class BusyTracker
-{
-  public:
-    /** Record @p amount ticks of busy time. */
-    void markBusy(Tick amount) { busy += amount; }
-
-    Tick busyTicks() const { return busy; }
-
-    /** Idle ticks within an observation window of @p elapsed. */
-    Tick
-    idleTicks(Tick elapsed) const
-    {
-        return elapsed > busy ? elapsed - busy : 0;
-    }
-
-  private:
-    Tick busy = 0;
-};
-
-/** Min/max/mean accumulator. */
-class Summary
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (n == 0 || v < lo)
-            lo = v;
-        if (n == 0 || v > hi)
-            hi = v;
-        sum += v;
-        ++n;
-    }
-
-    std::uint64_t count() const { return n; }
-    double min() const { return lo; }
-    double max() const { return hi; }
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-
-  private:
-    std::uint64_t n = 0;
-    double lo = 0.0;
-    double hi = 0.0;
-    double sum = 0.0;
 };
 
 } // namespace howsim::sim

@@ -164,6 +164,12 @@ class SmpMachine
     const fault::StopSchedule &stopSchedule() const { return stopSched; }
 
     /**
+     * Latency of the failure detector's keyed rejoin hop: the
+     * inter-board link latency.
+     */
+    sim::Tick crossLatency() const { return smpParams.interconnectLatency; }
+
+    /**
      * One failure-detector probe round trip over the shared FC loop
      * to farm drive @p d: a request frame, a controller-interrupt
      * turnaround, an ack frame — unless @p d is down at probe

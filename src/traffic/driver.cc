@@ -453,14 +453,9 @@ drive(sim::Simulator &simulator, const TrafficPlan &plan,
 TrafficResult
 runTraffic(const core::ExperimentConfig &config)
 {
-    TrafficPlan plan = config.traffic.empty()
-                           ? TrafficPlan::fromEnv()
-                           : TrafficPlan::parse(config.traffic);
-    if (plan.duration == 0) {
-        fatal("runTraffic: no traffic plan (set "
-              "ExperimentConfig::traffic or HOWSIM_TRAFFIC)");
-    }
-    return runTraffic(config, plan);
+    if (config.traffic.empty())
+        fatal("runTraffic: no traffic plan (set ExperimentConfig::traffic)");
+    return runTraffic(config, TrafficPlan::parse(config.traffic));
 }
 
 TrafficResult

@@ -96,10 +96,9 @@ struct TrafficResult
 };
 
 /**
- * Run the traffic plan from @p config (ExperimentConfig::traffic,
- * falling back to HOWSIM_TRAFFIC; fatal() when neither is set) on
- * the machine @p config describes. The config's task field is
- * ignored — the plan's mix decides what runs.
+ * Run the traffic plan from @p config (ExperimentConfig::traffic;
+ * fatal() when it is empty) on the machine @p config describes. The
+ * config's task field is ignored — the plan's mix decides what runs.
  */
 TrafficResult runTraffic(const core::ExperimentConfig &config);
 

@@ -308,15 +308,6 @@ TrafficPlan::parse(const std::string &spec)
     return plan;
 }
 
-TrafficPlan
-TrafficPlan::fromEnv()
-{
-    const char *env = std::getenv("HOWSIM_TRAFFIC");
-    if (!env || !*env)
-        return TrafficPlan{};
-    return parse(env);
-}
-
 std::string
 loopName(LoopMode mode)
 {

@@ -136,14 +136,6 @@ struct TrafficPlan
 
     /** Parse @p spec; fatal() on any grammar or domain error. */
     static TrafficPlan parse(const std::string &spec);
-
-    /**
-     * Parse the HOWSIM_TRAFFIC environment variable. Returns a
-     * default-constructed plan with an empty duration when the
-     * variable is unset — callers treat duration == 0 as "no
-     * traffic configured".
-     */
-    static TrafficPlan fromEnv();
 };
 
 /** "open" / "closed". */

@@ -190,10 +190,9 @@ class Golden : public ::testing::TestWithParam<GoldenOp>
     void
     SetUp() override
     {
-        // Every op spells out its own plans; ambient ones must not
-        // leak into the fault-free runs.
+        // Every op spells out its own fault plan; an ambient one
+        // must not leak into the fault-free runs.
         unsetenv("HOWSIM_FAULTS");
-        unsetenv("HOWSIM_TRAFFIC");
     }
 };
 

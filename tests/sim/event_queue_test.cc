@@ -2,23 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <coroutine>
 #include <cstdlib>
-#include <memory>
 #include <new>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
+#include "sim/coro.hh"
 #include "sim/event_queue.hh"
 
 using namespace howsim::sim;
 
 // Global allocation counter: the zero-allocation claims of the event
-// words and of pooled small closures are part of the event loop's
-// contract, so they are asserted, not assumed. Counting is cheap and
-// the counter is only compared across regions that perform no other
-// allocation.
+// words and of pooled one-pointer closures are part of the event
+// loop's contract, so they are asserted, not assumed. Counting is
+// cheap and the counter is only compared across regions that perform
+// no other allocation.
 namespace
 {
 
@@ -133,17 +132,15 @@ TEST(EventQueue, CountsScheduledEvents)
     EXPECT_EQ(q.scheduledCount(), 42u);
 }
 
-TEST(EventQueue, MoveOnlyCapture)
-{
-    EventQueue q;
-    int observed = 0;
-    auto payload = std::make_unique<int>(41);
-    q.schedule(1, [p = std::move(payload), &observed] {
-        observed = *p + 1;
-    });
-    q.pop()();
-    EXPECT_EQ(observed, 42);
-}
+// A coroutine handle travels as an EventWord, never as a closure: the
+// closure type refuses every handle, which is also what keeps
+// schedule(t, handle) from being ambiguous between the two overloads.
+static_assert(
+    !std::is_constructible_v<EventQueue::Action, std::coroutine_handle<>>);
+static_assert(
+    !std::is_constructible_v<EventQueue::Action, Coro<void>::Handle>);
+static_assert(std::is_constructible_v<EventWord, std::coroutine_handle<>>);
+static_assert(std::is_constructible_v<EventWord, Coro<void>::Handle>);
 
 TEST(EventQueue, SmallCallableSchedulesWithoutAllocation)
 {
@@ -241,24 +238,6 @@ TEST(EventQueue, SameTickLaneReusesItsCapacity)
     EXPECT_EQ(hits, 48);
 }
 
-TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillRuns)
-{
-    static_assert(sizeof(std::array<std::uint64_t, 16>)
-                  > InlineAction::inlineSize);
-    EventQueue q;
-    q.reserve(16);
-    std::array<std::uint64_t, 16> big{};
-    big[0] = 7;
-    big[15] = 35;
-    std::uint64_t sum = 0;
-    std::size_t before = newCalls;
-    q.schedule(1, [big, &sum] { sum = big[0] + big[15]; });
-    std::size_t after = newCalls;
-    EXPECT_GT(after, before);
-    q.pop()();
-    EXPECT_EQ(sum, 42u);
-}
-
 namespace
 {
 
@@ -275,17 +254,9 @@ struct Probe
     void operator()() const {}
 };
 
-/** A Probe padded past the inline buffer (heap-fallback variant). */
-struct BigProbe : Probe
-{
-    using Probe::Probe;
-    unsigned char pad[InlineAction::inlineSize] = {};
-    void operator()() const {}
-};
-
 } // namespace
 
-TEST(EventQueue, InlineCaptureDestroyedExactlyOnce)
+TEST(EventQueue, ClosureDestroyedExactlyOnce)
 {
     int alive = 0;
     {
@@ -296,20 +267,6 @@ TEST(EventQueue, InlineCaptureDestroyedExactlyOnce)
         q.pop()();
         EXPECT_EQ(alive, 1);
         // The second probe dies with the queue.
-    }
-    EXPECT_EQ(alive, 0);
-}
-
-TEST(EventQueue, HeapCaptureDestroyedExactlyOnce)
-{
-    int alive = 0;
-    {
-        EventQueue q;
-        q.schedule(1, BigProbe(&alive));
-        q.schedule(2, BigProbe(&alive));
-        EXPECT_EQ(alive, 2);
-        q.pop()();
-        EXPECT_EQ(alive, 1);
     }
     EXPECT_EQ(alive, 0);
 }
@@ -333,25 +290,6 @@ TEST(EventQueue, SiftingThroughTheHeapPreservesCaptures)
     EXPECT_EQ(alive, 0);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(InlineAction, MoveTransfersOwnership)
-{
-    int alive = 0;
-    int hits = 0;
-    {
-        InlineAction a([probe = Probe(&alive), &hits] { ++hits; });
-        InlineAction b(std::move(a));
-        EXPECT_FALSE(static_cast<bool>(a));
-        EXPECT_TRUE(static_cast<bool>(b));
-        InlineAction c;
-        c = std::move(b);
-        EXPECT_FALSE(static_cast<bool>(b));
-        c();
-        EXPECT_EQ(hits, 1);
-        EXPECT_EQ(alive, 1);
-    }
-    EXPECT_EQ(alive, 0);
 }
 
 TEST(Ticks, UnitConversions)

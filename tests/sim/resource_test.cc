@@ -142,46 +142,6 @@ TEST(Resource, UtilizationIntegratesHeldUnits)
     EXPECT_NEAR(res.utilization(end), 0.5, 1e-9);
 }
 
-TEST(Resource, ScopedGrantReleasesOnScopeExit)
-{
-    Simulator sim;
-    Resource res(1);
-    Tick second_at = 0;
-    auto holder = [&]() -> Coro<void> {
-        {
-            ScopedGrant g = co_await ScopedGrant::make(res);
-            co_await delay(300);
-        }
-        co_await delay(1000); // grant already released here
-    };
-    auto waiter = [&]() -> Coro<void> {
-        co_await delay(1);
-        co_await res.acquire();
-        second_at = Simulator::current()->now();
-        res.release();
-    };
-    sim.spawn(holder());
-    sim.spawn(waiter());
-    sim.run();
-    EXPECT_EQ(second_at, 300u);
-}
-
-TEST(Resource, ScopedGrantResetIsIdempotent)
-{
-    Simulator sim;
-    Resource res(2);
-    auto body = [&]() -> Coro<void> {
-        ScopedGrant g = co_await ScopedGrant::make(res, 2);
-        EXPECT_EQ(res.available(), 0);
-        g.reset();
-        EXPECT_EQ(res.available(), 2);
-        g.reset();
-        EXPECT_EQ(res.available(), 2);
-    };
-    sim.spawn(body());
-    sim.run();
-}
-
 TEST(Resource, ManyContendersAllEventuallyServed)
 {
     Simulator sim;

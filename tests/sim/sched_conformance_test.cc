@@ -63,14 +63,16 @@ struct Rng
 class OracleQueue
 {
   public:
+    using Action = EventQueue::Action;
+
     void
-    schedule(Tick when, InlineAction action)
+    schedule(Tick when, Action action)
     {
         push(when, nextSeq++, std::move(action));
     }
 
     void
-    scheduleWithSeq(Tick when, std::uint64_t seq, InlineAction action)
+    scheduleWithSeq(Tick when, std::uint64_t seq, Action action)
     {
         push(when, seq, std::move(action));
     }
@@ -79,11 +81,11 @@ class OracleQueue
 
     Tick nextTick() const { return heap.front().when; }
 
-    InlineAction
+    Action
     pop()
     {
         std::pop_heap(heap.begin(), heap.end(), After{});
-        InlineAction action = std::move(heap.back().action);
+        Action action = std::move(heap.back().action);
         heap.pop_back();
         return action;
     }
@@ -93,7 +95,7 @@ class OracleQueue
     {
         Tick when;
         std::uint64_t seq;
-        InlineAction action;
+        Action action;
     };
 
     struct After
@@ -108,7 +110,7 @@ class OracleQueue
     };
 
     void
-    push(Tick when, std::uint64_t seq, InlineAction action)
+    push(Tick when, std::uint64_t seq, Action action)
     {
         heap.push_back(Entry{when, seq, std::move(action)});
         std::push_heap(heap.begin(), heap.end(), After{});

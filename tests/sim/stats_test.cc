@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/stats.hh"
 
 using namespace howsim::sim;
@@ -59,33 +62,4 @@ TEST(Breakdown, MergeIntoEmptyCopies)
     EXPECT_DOUBLE_EQ(a.get("x"), 2.5);
     // Merging must not disturb the source.
     EXPECT_DOUBLE_EQ(b.get("x"), 2.5);
-}
-
-TEST(BusyTracker, IdleIsComplementOfBusy)
-{
-    BusyTracker t;
-    t.markBusy(300);
-    t.markBusy(200);
-    EXPECT_EQ(t.busyTicks(), 500u);
-    EXPECT_EQ(t.idleTicks(800), 300u);
-    // Busy exceeding the window clamps to zero idle.
-    EXPECT_EQ(t.idleTicks(400), 0u);
-}
-
-TEST(Summary, TracksMinMaxMean)
-{
-    Summary s;
-    for (double v : {4.0, 1.0, 7.0, 2.0})
-        s.sample(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 7.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-}
-
-TEST(Summary, EmptyIsSafe)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }

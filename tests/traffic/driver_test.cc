@@ -161,7 +161,6 @@ TEST(TrafficDriver, FaultedPlanStaysDeterministic)
 
 TEST(TrafficDriverDeath, MissingPlanIsFatal)
 {
-    unsetenv("HOWSIM_TRAFFIC");
     ExperimentConfig config;
     config.scale = 4;
     EXPECT_DEATH(traffic::runTraffic(config), "no traffic plan");
