@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "fault/detector.hh"
 #include "sim/awaitables.hh"
 #include "sim/logging.hh"
 
@@ -21,7 +20,12 @@ constexpr int kRebuildTag = fault::kRebuildStream
 ClusterMachine::ClusterMachine(sim::Simulator &s, int nnodes,
                                const disk::DiskSpec &spec,
                                ClusterParams params)
-    : simulator(s), clusterParams(params)
+    : simulator(s), clusterParams(params),
+      barriers(s, nnodes,
+               net::Barrier::logCost(nnodes,
+                                     2 * clusterParams.net.hopLatency
+                                         + sim::microseconds(30))),
+      takeover(s, nnodes)
 {
     if (nnodes <= 0)
         panic("ClusterMachine: nnodes must be positive");
@@ -46,18 +50,6 @@ ClusterMachine::ClusterMachine(sim::Simulator &s, int nnodes,
     fabric = std::make_unique<net::Network>(s, nnodes + 1,
                                             clusterParams.net);
     msgLayer = std::make_unique<net::MsgLayer>(s, *fabric);
-    syncBarrier = std::make_unique<net::Barrier>(
-        s, nnodes,
-        net::Barrier::logCost(nnodes,
-                              2 * clusterParams.net.hopLatency
-                                  + sim::microseconds(30)));
-    if (fault::Injector *inj = fault::current()) {
-        if (inj->plan().stopConfigured()) {
-            stopInj = inj;
-            stopSched
-                = fault::StopSchedule::resolve(inj->plan(), nnodes);
-        }
-    }
 }
 
 os::Cpu &
@@ -66,9 +58,9 @@ ClusterMachine::cpu(int node)
     // A dead node's share of the query runs on its takeover peer's
     // CPU. Compute never stalls on the lease — the process was
     // already migrated by whichever redirected I/O preceded it.
-    if (!stopSched.empty()
-        && !stopSched.aliveAt(node, simulator.now()))
-        node = stopSched.buddyOf(node, size());
+    const fault::StopSchedule &sched = takeover.schedule();
+    if (!sched.empty() && !sched.aliveAt(node, simulator.now()))
+        node = sched.buddyOf(node, 0, size());
     return *nodes[static_cast<std::size_t>(node)].cpu;
 }
 
@@ -84,28 +76,11 @@ ClusterMachine::driveCapacity() const
     return nodes.front().drive->capacityBytes();
 }
 
-sim::Coro<int>
-ClusterMachine::route(int node)
-{
-    const fault::StopSchedule::Victim *v = stopSched.victimOf(node);
-    if (v == nullptr || stopSched.aliveAt(node, simulator.now()))
-        co_return node;
-    sim::Tick ready = v->stopAt + stopSched.lease;
-    if (v->rejoins() && v->restartAt < ready)
-        ready = v->restartAt;
-    if (simulator.now() < ready)
-        co_await sim::delay(ready - simulator.now());
-    if (stopSched.aliveAt(node, simulator.now()))
-        co_return node;
-    ++stopInj->counters().stopRedirects;
-    co_return stopSched.buddyOf(node, size());
-}
-
 sim::Coro<os::IoResult>
 ClusterMachine::read(int node, std::uint64_t offset, std::uint64_t bytes)
 {
-    if (!stopSched.empty())
-        node = co_await route(node);
+    if (!takeover.empty())
+        node = co_await takeover.route(node, 0, size());
     co_return co_await nodes[static_cast<std::size_t>(node)]
         .raw->read(offset, bytes);
 }
@@ -114,8 +89,8 @@ sim::Coro<os::IoResult>
 ClusterMachine::write(int node, std::uint64_t offset,
                       std::uint64_t bytes)
 {
-    if (!stopSched.empty())
-        node = co_await route(node);
+    if (!takeover.empty())
+        node = co_await takeover.route(node, 0, size());
     co_return co_await nodes[static_cast<std::size_t>(node)]
         .raw->write(offset, bytes);
 }
@@ -129,7 +104,7 @@ ClusterMachine::heartbeat(int node)
     co_await fabric->transport(frontendId(), node,
                                static_cast<std::uint64_t>(
                                    fault::kHeartbeatBytes));
-    if (!stopSched.aliveAt(node, simulator.now()))
+    if (!stopSchedule().aliveAt(node, simulator.now()))
         co_return false;
     co_await sim::delay(clusterParams.costs.interrupt);
     co_await fabric->transport(node, frontendId(),
@@ -142,7 +117,7 @@ sim::Coro<void>
 ClusterMachine::rebuildChunk(int victim, std::uint64_t offset,
                              std::uint64_t bytes)
 {
-    int peer = stopSched.buddyOf(victim, size());
+    int peer = stopSchedule().buddyOf(victim, 0, size());
     co_await read(peer, offset, bytes);
     net::Message m;
     m.tag = kRebuildTag;
@@ -152,37 +127,10 @@ ClusterMachine::rebuildChunk(int victim, std::uint64_t offset,
     co_await write(victim, offset, bytes);
 }
 
-sim::Coro<void>
-ClusterMachine::barrier(int node, int stream)
-{
-    if (stream == 0) {
-        co_await syncBarrier->arrive(node);
-        co_return;
-    }
-    auto it = streamBarriers.find(stream);
-    if (it == streamBarriers.end()) {
-        it = streamBarriers
-                 .emplace(stream,
-                          std::make_unique<net::Barrier>(
-                              simulator, size(),
-                              net::Barrier::logCost(
-                                  size(),
-                                  2 * clusterParams.net.hopLatency
-                                      + sim::microseconds(30))))
-                 .first;
-    }
-    co_await it->second->arrive();
-}
-
 void
 ClusterMachine::retireStream(int stream)
 {
-    if (stream <= 0) {
-        panic("ClusterMachine::retireStream: stream %d is not a "
-              "traffic stream",
-              stream);
-    }
-    streamBarriers.erase(stream);
+    barriers.retire(stream);
     msgLayer->retireTagRange(stream * net::kStreamTagStride,
                              (stream + 1) * net::kStreamTagStride);
 }
@@ -191,8 +139,7 @@ void
 ClusterMachine::useKeyedProtocols()
 {
     msgLayer->useKeyedProtocol(crossLatency());
-    if (size() > 1)
-        syncBarrier->useKeyedProtocol(crossLatency());
+    barriers.useKeyedProtocol(crossLatency());
 }
 
 } // namespace howsim::arch

@@ -12,13 +12,12 @@
 #define HOWSIM_ARCH_CLUSTER_MACHINE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "bus/bus.hh"
 #include "disk/disk.hh"
-#include "fault/fault.hh"
+#include "fault/detector.hh"
 #include "net/msg.hh"
 #include "net/network.hh"
 #include "os/cpu.hh"
@@ -48,7 +47,7 @@ struct ClusterParams
 };
 
 /** A complete commodity cluster plus front-end. */
-class ClusterMachine
+class ClusterMachine final : public fault::AvailabilityTransport
 {
   public:
     ClusterMachine(sim::Simulator &s, int nnodes,
@@ -78,13 +77,14 @@ class ClusterMachine
     net::Network &network() { return *fabric; }
 
     /**
-     * Barrier over the worker nodes, arriving as @p node. The batch
-     * barrier (stream 0) uses keyed arrivals after
-     * useKeyedProtocols(); streams get independent shared-state
-     * barriers (identical cost model) so concurrent traffic queries
-     * never gate each other's phase boundaries.
+     * Barrier over the worker nodes, arriving as @p node on
+     * @p stream (net::BarrierSet).
      */
-    sim::Coro<void> barrier(int node, int stream = 0);
+    sim::Coro<void>
+    barrier(int node, int stream = 0)
+    {
+        return barriers.arrive(node, stream);
+    }
 
     /**
      * Drop the per-stream barrier and message-tag band of a
@@ -100,10 +100,9 @@ class ClusterMachine
     /**
      * Switch the message layer's cross-host sends and the batch
      * barrier to their keyed protocols, whose hops each take one
-     * fabric hop latency (DESIGN.md §14). runExperiment calls this once, after
-     * construction; traffic runs keep the direct protocols. A single
-     * node keeps the shared-state barrier (logCost(1) == 0 leaves no
-     * room for the hop).
+     * fabric hop latency (DESIGN.md §14). runExperiment calls this
+     * once, after construction; traffic runs keep the direct
+     * protocols.
      */
     void useKeyedProtocols();
 
@@ -111,7 +110,8 @@ class ClusterMachine
      * Latency of one keyed hop in the send protocol: the fabric's
      * switch-hop latency.
      */
-    sim::Tick crossLatency() const
+    sim::Tick
+    crossLatency() const override
     {
         return fabric->minMessageLatency();
     }
@@ -120,7 +120,13 @@ class ClusterMachine
     /** @{ */
 
     /** This machine's resolved fail-stop schedule (empty = none). */
-    const fault::StopSchedule &stopSchedule() const { return stopSched; }
+    const fault::StopSchedule &
+    stopSchedule() const
+    {
+        return takeover.schedule();
+    }
+
+    int deviceCount() const override { return size(); }
 
     /**
      * One failure-detector probe round trip through the switch
@@ -128,7 +134,7 @@ class ClusterMachine
      * OS interrupt turnaround, an ack frame — unless @p node is down
      * at probe arrival, in which case there is no ack.
      */
-    sim::Coro<bool> heartbeat(int node);
+    sim::Coro<bool> heartbeat(int node) override;
 
     /**
      * Copy one replica chunk back onto rejoined @p node: a replica
@@ -137,7 +143,7 @@ class ClusterMachine
      * foreground queries.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
-                                 std::uint64_t bytes);
+                                 std::uint64_t bytes) override;
 
     /** @} */
 
@@ -150,27 +156,14 @@ class ClusterMachine
         std::unique_ptr<os::Cpu> cpu;
     };
 
-    /**
-     * Fail-stop takeover routing (same contract as
-     * ActiveDiskArray::route): stall until the nominal lease or the
-     * restart, then serve on the node itself or its takeover peer.
-     */
-    sim::Coro<int> route(int node);
-
     sim::Simulator &simulator;
     ClusterParams clusterParams;
     std::vector<Node> nodes;
     std::unique_ptr<os::Cpu> feCpu;
     std::unique_ptr<net::Network> fabric;
     std::unique_ptr<net::MsgLayer> msgLayer;
-    std::unique_ptr<net::Barrier> syncBarrier;
-    // Per-stream barriers for concurrent traffic queries, created on
-    // first use; the batch path (stream 0) never touches this map.
-    std::map<int, std::unique_ptr<net::Barrier>> streamBarriers;
-
-    // Fail-stop takeover (empty schedule / null when not configured).
-    fault::StopSchedule stopSched;
-    fault::Injector *stopInj = nullptr;
+    net::BarrierSet barriers;
+    fault::Takeover takeover;
 };
 
 } // namespace howsim::arch

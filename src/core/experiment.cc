@@ -3,20 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "arch/cluster_machine.hh"
 #include "arch/cost_model.hh"
-#include "diskos/active_disk_array.hh"
+#include "core/machines.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "workload/task_kind.hh"
-#include "smp/smp_machine.hh"
-#include "tasks/smp_tasks.hh"
-#include "tasks/task_runner.hh"
 
 namespace howsim::core
 {
@@ -164,68 +161,32 @@ publishFaultMetrics(obs::Session *sess, fault::Injector *inj)
 }
 
 /**
- * Binds fault::Detector to one machine's availability surface —
- * heartbeat(), rebuildChunk() and crossLatency(), which every
- * architecture spells alike — over its @p n drives or nodes.
- */
-template <typename Machine>
-class MachineAvailability final : public fault::AvailabilityTransport
-{
-  public:
-    MachineAvailability(Machine &m, int n) : machine(m), devices(n) {}
-
-    sim::Coro<bool>
-    heartbeat(int device) override
-    {
-        return machine.heartbeat(device);
-    }
-
-    sim::Coro<void>
-    rebuildChunk(int device, std::uint64_t offset,
-                 std::uint64_t bytes) override
-    {
-        return machine.rebuildChunk(device, offset, bytes);
-    }
-
-    int deviceCount() const override { return devices; }
-
-    sim::Tick crossLatency() const override { return machine.crossLatency(); }
-
-  private:
-    Machine &machine;
-    int devices;
-};
-
-/**
- * The failure-detector wiring of one faulted experiment: the
- * machine's AvailabilityTransport plus the Detector spawned through
- * it. Construct after the machine's keyed protocols are switched on
- * (key-stream allocation order) and before the runner executes; inert
- * when no fail-stop is scheduled. @p scale is the machine's device
- * count. Victims that rejoin trigger a rebuild of their share of the
- * dataset (inputBytes/scale — the striped share every machine gives
+ * The Detector of one faulted experiment, monitoring the machine
+ * through its AvailabilityTransport. Construct after the machine's
+ * keyed protocols are switched on (key-stream allocation order) and
+ * before the runner executes; inert when no fail-stop is scheduled.
+ * Victims that rejoin trigger a rebuild of their share of the dataset
+ * (inputBytes / deviceCount — the striped share every machine gives
  * one device).
  */
-template <typename Machine>
 struct AvailabilityRig
 {
     AvailabilityRig(sim::Simulator &simulator, fault::Injector *inj,
-                    Machine &machine, std::uint64_t inputBytes,
-                    int scale)
+                    fault::AvailabilityTransport &machine,
+                    const fault::StopSchedule &schedule,
+                    std::uint64_t inputBytes)
     {
-        if (inj == nullptr || machine.stopSchedule().empty())
+        if (inj == nullptr || schedule.empty())
             return;
-        adapter = std::make_unique<MachineAvailability<Machine>>(machine,
-                                                                 scale);
         bool rejoins = false;
-        for (const auto &v : machine.stopSchedule().victims)
+        for (const auto &v : schedule.victims)
             rejoins = rejoins || v.rejoins();
         std::uint64_t rebuildBytes
-            = rejoins ? inputBytes / static_cast<std::uint64_t>(scale)
+            = rejoins ? inputBytes / static_cast<std::uint64_t>(
+                            machine.deviceCount())
                       : 0;
         detector = std::make_unique<fault::Detector>(
-            simulator, *inj, machine.stopSchedule(), *adapter,
-            rebuildBytes);
+            simulator, *inj, schedule, machine, rebuildBytes);
         detector->start();
     }
 
@@ -249,7 +210,6 @@ struct AvailabilityRig
         m.counter("fault.rebuild.bytes").add(a.rebuiltBytes);
     }
 
-    std::unique_ptr<MachineAvailability<Machine>> adapter;
     std::unique_ptr<fault::Detector> detector;
 };
 
@@ -272,62 +232,20 @@ runExperiment(const ExperimentConfig &config)
     // fault-class timeline probes; inactive plans install nothing.
     fault::Scope faultScope(plan);
     sim::Simulator simulator;
-    switch (config.arch) {
-      case Arch::ActiveDisk: {
-        diskos::AdParams params;
-        params.memoryBytes = config.adMemoryBytes;
-        params.interconnectRate = config.interconnectRate;
-        params.interconnectLoops = config.interconnectLoops;
-        params.directD2d = config.directD2d;
-        params.frontendCpuMhz = config.adFrontendMhz;
-        diskos::ActiveDiskArray machine(simulator, config.scale,
-                                        config.drive, params);
-        // Batch runs use the keyed barrier; runTraffic does not.
+    return withMachine(config, simulator, [&](auto &machine) {
+        // Batch runs use the keyed protocols; runTraffic does not.
         machine.useKeyedProtocols();
         AvailabilityRig rig(simulator, faultScope.injector(), machine,
-                            data.inputBytes, config.scale);
-        tasks::TaskRunner runner(simulator, machine, config.costs);
+                            machine.stopSchedule(), data.inputBytes);
+        RunnerFor<std::remove_reference_t<decltype(machine)>> runner(
+            simulator, machine, config.costs);
         auto result = runner.run(config.task, data);
         rig.finish(result, obsSession.get());
         publishFaultMetrics(obsSession.get(), faultScope.injector());
         if (obsSession)
             obsSession->dump(); // while probed components are alive
         return result;
-      }
-      case Arch::Cluster: {
-        arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive);
-        // Batch runs use the keyed message hops and barrier;
-        // runTraffic does not.
-        machine.useKeyedProtocols();
-        AvailabilityRig rig(simulator, faultScope.injector(), machine,
-                            data.inputBytes, config.scale);
-        tasks::TaskRunner runner(simulator, machine, config.costs);
-        auto result = runner.run(config.task, data);
-        rig.finish(result, obsSession.get());
-        publishFaultMetrics(obsSession.get(), faultScope.injector());
-        if (obsSession)
-            obsSession->dump();
-        return result;
-      }
-      case Arch::Smp: {
-        smp::SmpParams params;
-        params.fcRate = config.interconnectRate;
-        params.fcLoops = config.interconnectLoops;
-        smp::SmpMachine machine(simulator, config.scale, config.scale,
-                                config.drive, params);
-        AvailabilityRig rig(simulator, faultScope.injector(), machine,
-                            data.inputBytes, config.scale);
-        tasks::SmpTaskRunner runner(simulator, machine, config.costs);
-        auto result = runner.run(config.task, data);
-        rig.finish(result, obsSession.get());
-        publishFaultMetrics(obsSession.get(), faultScope.injector());
-        if (obsSession)
-            obsSession->dump();
-        return result;
-      }
-    }
-    panic("unknown Arch");
+    });
 }
 
 double

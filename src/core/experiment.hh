@@ -93,9 +93,10 @@ struct ExperimentConfig
      * for the grammar, e.g. "seed=42,disk.media.rate=1e-3"). Empty
      * means "use the HOWSIM_FAULTS environment variable"; both empty
      * yields a fault-free run. Malformed specs and specs that are
-     * inconsistent with the rest of the configuration (fail-stop
-     * victim out of range, fail-stop under a non-scan task) fatal()
-     * with the offending value.
+     * inconsistent with the rest of the configuration (a fail-stop
+     * victim out of range, fail-stop with no survivor left to take
+     * over) fatal() with the offending value. Fail-stop runs under
+     * every task, batch or traffic.
      */
     std::string faults;
 
@@ -104,10 +105,9 @@ struct ExperimentConfig
      * docs/traffic grammar in DESIGN.md §15, e.g.
      * "seed=7,rate=20,duration.ms=500,mix.select=1"). Only
      * traffic::runTraffic consumes it (empty there is a fatal()
-     * error); the single-query batch path ignores it apart from
-     * validation — a traffic plan is incompatible with stop.*
-     * fail-stop faults, whose recovery protocol assumes one batch
-     * query owns the machine.
+     * error); the single-query batch path ignores it. Traffic runs
+     * accept every fault class, fail-stop included: a query whose
+     * first attempt overlaps a death retries once.
      */
     std::string traffic;
 };

@@ -1,10 +1,7 @@
 #include "diskos/active_disk_array.hh"
 
-#include <algorithm>
 #include <utility>
 
-#include "fault/detector.hh"
-#include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "sim/awaitables.hh"
 #include "sim/logging.hh"
@@ -27,7 +24,14 @@ inboxCapacity(const AdParams &p)
 ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
                                  const disk::DiskSpec &spec,
                                  AdParams params)
-    : simulator(s), adParams(params)
+    : simulator(s), adParams(params),
+      // Barrier completion modeled as a logarithmic exchange over the
+      // serial interconnect.
+      barriers(s, ndisks,
+               net::Barrier::logCost(
+                   ndisks, 2 * adParams.interconnect().startup
+                               + sim::microseconds(20))),
+      takeover(s, ndisks)
 {
     if (ndisks <= 0)
         panic("ActiveDiskArray: ndisks must be positive");
@@ -58,26 +62,6 @@ ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
     feBuffers = std::make_unique<sim::Resource>(adParams.frontendBuffers);
     feBuffers->observe("frontend.buffers");
     feInbox = std::make_unique<sim::Channel<AdBlock>>();
-    // Barrier completion modeled as a logarithmic exchange over the
-    // serial interconnect.
-    syncBarrier = std::make_unique<net::Barrier>(
-        s, ndisks,
-        net::Barrier::logCost(ndisks, 2 * adParams.interconnect().startup
-                                          + sim::microseconds(20)));
-    if (fault::Injector *inj = fault::current()) {
-        if (inj->plan().netFaultsActive()) {
-            faultInj = inj;
-            if (obs::Session *session = obs::session()) {
-                obsRetrans = &session->metrics().counter(
-                    "adloop.fault.retransmits");
-            }
-        }
-        if (inj->plan().stopConfigured()) {
-            stopInj = inj;
-            stopSched
-                = fault::StopSchedule::resolve(inj->plan(), ndisks);
-        }
-    }
     // Keyed-protocol streams, allocated last and in fixed order:
     // stream identity is part of the deterministic event order.
     driveKeys.reserve(static_cast<std::size_t>(ndisks));
@@ -138,11 +122,7 @@ ActiveDiskArray::frontendInbox(int stream)
 void
 ActiveDiskArray::retireStream(int stream)
 {
-    if (stream <= 0) {
-        panic("ActiveDiskArray::retireStream: stream %d is not a "
-              "traffic stream",
-              stream);
-    }
+    barriers.retire(stream);
     std::erase_if(streamInboxes, [&](const auto &entry) {
         if (entry.first.second != stream)
             return false;
@@ -162,33 +142,12 @@ ActiveDiskArray::retireStream(int stream)
         }
         streamFeInboxes.erase(fe);
     }
-    streamBarriers.erase(stream);
 }
 
 std::uint64_t
 ActiveDiskArray::driveCapacity() const
 {
     return drives.front().mech->capacityBytes();
-}
-
-sim::Coro<int>
-ActiveDiskArray::route(int d)
-{
-    const fault::StopSchedule::Victim *v = stopSched.victimOf(d);
-    if (v == nullptr || stopSched.aliveAt(d, simulator.now()))
-        co_return d;
-    // Dead: stall until the front end could have declared the death
-    // (the nominal lease) or until the drive restarts, whichever
-    // comes first.
-    sim::Tick ready = v->stopAt + stopSched.lease;
-    if (v->rejoins() && v->restartAt < ready)
-        ready = v->restartAt;
-    if (simulator.now() < ready)
-        co_await sim::delay(ready - simulator.now());
-    if (stopSched.aliveAt(d, simulator.now()))
-        co_return d;
-    ++stopInj->counters().stopRedirects;
-    co_return stopSched.buddyOf(d, size());
 }
 
 sim::Coro<bool>
@@ -199,7 +158,7 @@ ActiveDiskArray::heartbeat(int d)
     // transfers for the serial loop — that contention is the
     // emergent part of the measured detection latency.
     co_await fc->transfer(fault::kHeartbeatBytes);
-    if (!stopSched.aliveAt(d, simulator.now()))
+    if (!stopSchedule().aliveAt(d, simulator.now()))
         co_return false;
     co_await sim::delay(adParams.costs.interrupt);
     co_await fc->transfer(fault::kHeartbeatBytes);
@@ -210,7 +169,7 @@ sim::Coro<void>
 ActiveDiskArray::rebuildChunk(int victim, std::uint64_t offset,
                               std::uint64_t bytes)
 {
-    int buddy = stopSched.buddyOf(victim, size());
+    int buddy = stopSchedule().buddyOf(victim, 0, size());
     co_await readLocal(buddy, offset, bytes);
     AdBlock blk;
     blk.src = buddy;
@@ -223,11 +182,11 @@ ActiveDiskArray::rebuildChunk(int victim, std::uint64_t offset,
 }
 
 sim::Coro<void>
-ActiveDiskArray::readLocal(int d, std::uint64_t offset,
-                           std::uint64_t bytes)
+ActiveDiskArray::localIo(int d, std::uint64_t offset,
+                         std::uint64_t bytes, bool write)
 {
-    if (!stopSched.empty())
-        d = co_await route(d);
+    if (!takeover.empty())
+        d = co_await takeover.route(d, 0, size());
     auto &drv = drives[static_cast<std::size_t>(d)];
     co_await sim::delay(adParams.costs.ioQueue);
     const std::uint32_t sector = drv.mech->spec().sectorBytes;
@@ -236,30 +195,8 @@ ActiveDiskArray::readLocal(int d, std::uint64_t offset,
     disk::AccessDetail detail = co_await drv.mech->access(
         disk::DiskRequest{first,
                           static_cast<std::uint32_t>(last - first),
-                          false});
+                          write});
     // DiskOS fields one check-condition per injected media reread.
-    if (detail.retries > 0) {
-        co_await sim::delay(adParams.costs.interrupt
-                            * static_cast<sim::Tick>(detail.retries));
-    }
-    co_await sim::delay(adParams.costs.interrupt);
-}
-
-sim::Coro<void>
-ActiveDiskArray::writeLocal(int d, std::uint64_t offset,
-                            std::uint64_t bytes)
-{
-    if (!stopSched.empty())
-        d = co_await route(d);
-    auto &drv = drives[static_cast<std::size_t>(d)];
-    co_await sim::delay(adParams.costs.ioQueue);
-    const std::uint32_t sector = drv.mech->spec().sectorBytes;
-    std::uint64_t first = offset / sector;
-    std::uint64_t last = (offset + bytes + sector - 1) / sector;
-    disk::AccessDetail detail = co_await drv.mech->access(
-        disk::DiskRequest{first,
-                          static_cast<std::uint32_t>(last - first),
-                          true});
     if (detail.retries > 0) {
         co_await sim::delay(adParams.costs.interrupt
                             * static_cast<sim::Tick>(detail.retries));
@@ -270,44 +207,9 @@ ActiveDiskArray::writeLocal(int d, std::uint64_t offset,
 sim::Coro<void>
 ActiveDiskArray::compute(int d, sim::Tick ref_ticks)
 {
-    if (!stopSched.empty())
-        d = co_await route(d);
+    if (!takeover.empty())
+        d = co_await takeover.route(d, 0, size());
     co_await drives[static_cast<std::size_t>(d)].cpu->compute(ref_ticks);
-}
-
-/**
- * One interconnect crossing with injected frame loss. A dropped frame
- * still occupied the loop for its full transfer time and is noticed
- * only by the sender's retransmission timeout (doubling per attempt);
- * corruption is caught by the receiver's checksum and NACKed after
- * one controller-interrupt round trip. Outcomes hash (seed, link,
- * sequence, attempt), so runs are bit-reproducible.
- */
-sim::Coro<void>
-ActiveDiskArray::loopTransfer(int src, int dst, std::uint64_t bytes)
-{
-    const fault::FaultPlan &plan = faultInj->plan();
-    const std::uint64_t site = fault::linkSite(src, dst);
-    const std::uint64_t seq = linkSeq[{src, dst}]++;
-    for (int attempt = 0;; ++attempt) {
-        co_await fc->transfer(bytes);
-        fault::Injector::NetFail outcome
-            = faultInj->netAttempt(site, seq, attempt);
-        if (outcome == fault::Injector::NetFail::None)
-            co_return;
-        fault::Counters &ctr = faultInj->counters();
-        ++ctr.netRetransmits;
-        if (obsRetrans)
-            obsRetrans->add();
-        if (outcome == fault::Injector::NetFail::Drop) {
-            ++ctr.netDrops;
-            co_await sim::delay(plan.netTimeout
-                                << std::min(attempt, 16));
-        } else {
-            ++ctr.netCorruptions;
-            co_await sim::delay(2 * adParams.costs.interrupt);
-        }
-    }
 }
 
 sim::Coro<void>
@@ -318,8 +220,8 @@ ActiveDiskArray::relayViaFrontend(int dst, std::uint64_t bytes)
     co_await feBuffers->acquire();
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
-    if (faultInj)
-        co_await loopTransfer(-1, dst, bytes);
+    if (links.active())
+        co_await lossyTransfer(-1, dst, bytes);
     else
         co_await fc->transfer(bytes);
     feBuffers->release();
@@ -337,8 +239,8 @@ ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
     // leave the buddy's port (the inbox keyed by dst stays logical —
     // a dead destination's disklet drains it from the buddy too).
     int psrc = src;
-    if (!stopSched.empty())
-        psrc = co_await route(src);
+    if (!takeover.empty())
+        psrc = co_await takeover.route(src, 0, size());
     auto &from = drives[static_cast<std::size_t>(psrc)];
     std::uint64_t bytes = block.bytes;
 
@@ -352,8 +254,8 @@ ActiveDiskArray::send(int src, int dst, AdBlock block, int stream)
                            driveKeys[static_cast<std::size_t>(src)]);
     // The first crossing reaches the peer directly or lands at the
     // front-end for relay, depending on the architecture.
-    if (faultInj)
-        co_await loopTransfer(src, adParams.directD2d ? dst : -1,
+    if (links.active())
+        co_await lossyTransfer(src, adParams.directD2d ? dst : -1,
                               bytes);
     else
         co_await fc->transfer(bytes);
@@ -375,16 +277,16 @@ ActiveDiskArray::sendToFrontend(int src, AdBlock block, int stream)
         panic("ActiveDiskArray::sendToFrontend: bad source %d", src);
     block.src = src;
     int psrc = src;
-    if (!stopSched.empty())
-        psrc = co_await route(src);
+    if (!takeover.empty())
+        psrc = co_await takeover.route(src, 0, size());
     auto &from = drives[static_cast<std::size_t>(psrc)];
     std::uint64_t bytes = block.bytes;
 
     co_await from.commBuffers->acquire();
     co_await simulator.hop(crossLatency(),
                            driveKeys[static_cast<std::size_t>(src)]);
-    if (faultInj)
-        co_await loopTransfer(src, -1, bytes);
+    if (links.active())
+        co_await lossyTransfer(src, -1, bytes);
     else
         co_await fc->transfer(bytes);
     // Ingest copy into front-end memory.
@@ -406,8 +308,8 @@ ActiveDiskArray::frontendSend(int dst, AdBlock block, int stream)
     // Copy-out and crossing run at the front-end; the block then hops
     // to the drive and the ack hops back.
     co_await feCpu->copyBytes(bytes, adParams.frontendCopyRefRate());
-    if (faultInj)
-        co_await loopTransfer(-1, dst, bytes);
+    if (links.active())
+        co_await lossyTransfer(-1, dst, bytes);
     else
         co_await fc->transfer(bytes);
     co_await simulator.hop(crossLatency(), feKeys);
@@ -415,35 +317,6 @@ ActiveDiskArray::frontendSend(int dst, AdBlock block, int stream)
     co_await inbox(dst, stream).send(std::move(block));
     co_await simulator.hop(crossLatency(),
                            driveKeys[static_cast<std::size_t>(dst)]);
-}
-
-sim::Coro<void>
-ActiveDiskArray::barrier(int participant, int stream)
-{
-    if (stream == 0) {
-        co_await syncBarrier->arrive(participant);
-        co_return;
-    }
-    auto it = streamBarriers.find(stream);
-    if (it == streamBarriers.end()) {
-        it = streamBarriers
-                 .emplace(stream,
-                          std::make_unique<net::Barrier>(
-                              simulator, size(),
-                              net::Barrier::logCost(
-                                  size(),
-                                  2 * adParams.interconnect().startup
-                                      + sim::microseconds(20))))
-                 .first;
-    }
-    co_await it->second->arrive();
-}
-
-void
-ActiveDiskArray::useKeyedProtocols()
-{
-    if (size() > 1)
-        syncBarrier->useKeyedProtocol(crossLatency());
 }
 
 } // namespace howsim::diskos

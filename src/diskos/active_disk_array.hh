@@ -27,6 +27,7 @@
 #include "bus/bus.hh"
 #include "disk/disk.hh"
 #include "diskos/ad_params.hh"
+#include "fault/detector.hh"
 #include "fault/fault.hh"
 #include "net/msg.hh"
 #include "os/cpu.hh"
@@ -34,11 +35,6 @@
 #include "sim/coro.hh"
 #include "sim/resource.hh"
 #include "sim/simulator.hh"
-
-namespace howsim::obs
-{
-class Counter;
-} // namespace howsim::obs
 
 namespace howsim::diskos
 {
@@ -70,7 +66,7 @@ struct FrontendStats
  * A complete Active Disk machine. Drives are numbered [0, size);
  * the front-end is a separate endpoint reached via sendToFrontend().
  */
-class ActiveDiskArray
+class ActiveDiskArray final : public fault::AvailabilityTransport
 {
   public:
     ActiveDiskArray(sim::Simulator &s, int ndisks,
@@ -86,12 +82,18 @@ class ActiveDiskArray
     /** @{ */
 
     /** Stream @p bytes from local media at byte @p offset. */
-    sim::Coro<void> readLocal(int d, std::uint64_t offset,
-                              std::uint64_t bytes);
+    sim::Coro<void>
+    readLocal(int d, std::uint64_t offset, std::uint64_t bytes)
+    {
+        return localIo(d, offset, bytes, false);
+    }
 
     /** Stream @p bytes to local media at byte @p offset. */
-    sim::Coro<void> writeLocal(int d, std::uint64_t offset,
-                               std::uint64_t bytes);
+    sim::Coro<void>
+    writeLocal(int d, std::uint64_t offset, std::uint64_t bytes)
+    {
+        return localIo(d, offset, bytes, true);
+    }
 
     /** Run @p ref_ticks of reference-CPU disklet work on drive d. */
     sim::Coro<void> compute(int d, sim::Tick ref_ticks);
@@ -131,12 +133,13 @@ class ActiveDiskArray
 
     /**
      * Barrier over all drives (front-end coordinated), arriving as
-     * drive @p participant. The batch barrier (stream 0) uses keyed
-     * arrivals after useKeyedProtocols(); streams get independent
-     * shared-state barriers (identical cost model) so one query's
-     * phase boundary never gates another's.
+     * drive @p participant on @p stream (net::BarrierSet).
      */
-    sim::Coro<void> barrier(int participant, int stream = 0);
+    sim::Coro<void>
+    barrier(int participant, int stream = 0)
+    {
+        return barriers.arrive(participant, stream);
+    }
 
     /**
      * Drop the per-stream channels and barrier of a completed
@@ -165,22 +168,35 @@ class ActiveDiskArray
      * Switch the batch barrier to keyed arrivals that cross the
      * loop's grant latency (DESIGN.md §14). runExperiment calls this
      * once, after construction; traffic runs keep the shared-state
-     * barrier. A single-drive array keeps it too (logCost(1) == 0
-     * leaves no room for the hop).
+     * barrier.
      */
-    void useKeyedProtocols();
+    void
+    useKeyedProtocols()
+    {
+        barriers.useKeyedProtocol(crossLatency());
+    }
 
     /**
      * Latency of one keyed hop in the send protocol: the loop's grant
      * latency.
      */
-    sim::Tick crossLatency() const { return fc->minGrantLatency(); }
+    sim::Tick
+    crossLatency() const override
+    {
+        return fc->minGrantLatency();
+    }
 
     /** @name Availability (fail-stop takeover, DESIGN.md §13) */
     /** @{ */
 
     /** This machine's resolved fail-stop schedule (empty = none). */
-    const fault::StopSchedule &stopSchedule() const { return stopSched; }
+    const fault::StopSchedule &
+    stopSchedule() const
+    {
+        return takeover.schedule();
+    }
+
+    int deviceCount() const override { return size(); }
 
     /**
      * One failure-detector probe round trip over the serial
@@ -189,7 +205,7 @@ class ActiveDiskArray
      * probe arrival, in which case there is no ack and the caller eats
      * the silence.
      */
-    sim::Coro<bool> heartbeat(int d);
+    sim::Coro<bool> heartbeat(int d) override;
 
     /**
      * Copy one replica chunk back onto rejoined drive @p victim: a
@@ -198,7 +214,7 @@ class ActiveDiskArray
      * all contending with foreground disklets.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
-                                 std::uint64_t bytes);
+                                 std::uint64_t bytes) override;
 
     /** @} */
 
@@ -212,28 +228,24 @@ class ActiveDiskArray
         AdDiskStats stats;
     };
 
+    /** Local media I/O on the drive serving @p d. */
+    sim::Coro<void> localIo(int d, std::uint64_t offset,
+                            std::uint64_t bytes, bool write);
+
     sim::Coro<void> relayViaFrontend(int dst, std::uint64_t bytes);
 
     /**
-     * One interconnect crossing src -> dst (-1 = the front-end) with
-     * injected frame loss: timeout + retransmit with exponential
-     * backoff on a drop, immediate NACK retransmit on corruption.
-     * Callers branch to the plain fc transfer when faults are off.
+     * One loop crossing src -> dst (-1 = the front-end) under
+     * injected frame loss; a corruption is NACKed after one
+     * controller-interrupt round trip. Callers branch to the plain fc
+     * transfer when links.active() is false.
      */
-    sim::Coro<void> loopTransfer(int src, int dst,
-                                 std::uint64_t bytes);
-
-    /**
-     * Fail-stop takeover routing: the physical drive that serves an
-     * operation addressed to @p d right now. A live drive serves
-     * itself. An operation addressed to a dead drive stalls until the
-     * front end could have declared the death (the nominal lease) or
-     * until the drive restarts, whichever is first, then runs on the
-     * drive itself (restarted) or on its takeover buddy (redirected,
-     * counted in Counters::stopRedirects). Pure plan arithmetic — no
-     * detector state is read.
-     */
-    sim::Coro<int> route(int d);
+    sim::Coro<void>
+    lossyTransfer(int src, int dst, std::uint64_t bytes)
+    {
+        return links.deliver(src, dst, 2 * adParams.costs.interrupt,
+                             [this, bytes] { return fc->transfer(bytes); });
+    }
 
     sim::Simulator &simulator;
     AdParams adParams;
@@ -242,28 +254,20 @@ class ActiveDiskArray
     std::unique_ptr<os::Cpu> feCpu;
     std::unique_ptr<sim::Resource> feBuffers;
     std::unique_ptr<sim::Channel<AdBlock>> feInbox;
-    std::unique_ptr<net::Barrier> syncBarrier;
+    net::BarrierSet barriers;
     FrontendStats feStats;
 
-    // Stream-isolated channels/barriers for concurrent traffic
-    // queries, created on first use. Stream 0 maps to the
-    // preallocated members above, so a batch run never touches
-    // these maps.
+    // Stream-isolated channels for concurrent traffic queries,
+    // created on first use. Stream 0 maps to the preallocated
+    // members above, so a batch run never touches these maps.
     std::map<std::pair<int, int>,
              std::unique_ptr<sim::Channel<AdBlock>>>
         streamInboxes;
     std::map<int, std::unique_ptr<sim::Channel<AdBlock>>>
         streamFeInboxes;
-    std::map<int, std::unique_ptr<net::Barrier>> streamBarriers;
 
-    // Fault injection (null when the plan has no network faults).
-    fault::Injector *faultInj = nullptr;
-    std::map<std::pair<int, int>, std::uint64_t> linkSeq;
-    obs::Counter *obsRetrans = nullptr;
-
-    // Fail-stop takeover (empty schedule / null when not configured).
-    fault::StopSchedule stopSched;
-    fault::Injector *stopInj = nullptr;
+    fault::LossyLinks links{"adloop"};
+    fault::Takeover takeover;
 
     // Keyed send-protocol streams: driveKeys[d] keys drive d's hops,
     // feKeys the loop/front-end's (allocation order fixed in the ctor).

@@ -21,6 +21,32 @@ hbSite(int d)
 
 } // namespace
 
+Takeover::Takeover(sim::Simulator &s, int devices) : simulator(s)
+{
+    Injector *i = current();
+    if (i && i->plan().stopConfigured()) {
+        inj = i;
+        sched = StopSchedule::resolve(i->plan(), devices);
+    }
+}
+
+sim::Coro<int>
+Takeover::route(int d, int first, int count)
+{
+    const StopSchedule::Victim *v = sched.victimOf(d);
+    if (v == nullptr || sched.aliveAt(d, simulator.now()))
+        co_return d;
+    sim::Tick ready = v->stopAt + sched.lease;
+    if (v->rejoins() && v->restartAt < ready)
+        ready = v->restartAt;
+    if (simulator.now() < ready)
+        co_await sim::delay(ready - simulator.now());
+    if (sched.aliveAt(d, simulator.now()))
+        co_return d;
+    ++inj->counters().stopRedirects;
+    co_return sched.buddyOf(d, first, count);
+}
+
 Detector::Detector(sim::Simulator &s, Injector &injector,
                    const StopSchedule &schedule,
                    AvailabilityTransport &t,

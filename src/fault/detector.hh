@@ -60,9 +60,9 @@ constexpr std::uint64_t kRebuildChunkBytes = 1ull << 20;
 constexpr int kRebuildStream = 1 << 20;
 
 /**
- * The machine-side services the detector needs, implemented per
- * architecture (ActiveDiskArray, ClusterMachine, SmpMachine) and
- * adapted by core::runExperiment (core/experiment.cc).
+ * The machine-side services the detector needs. Every architecture's
+ * machine (ActiveDiskArray, ClusterMachine, SmpMachine) implements
+ * it.
  */
 class AvailabilityTransport
 {
@@ -90,6 +90,42 @@ class AvailabilityTransport
 
     /** Latency of the keyed rejoin -> rebuild hop. */
     virtual sim::Tick crossLatency() const = 0;
+};
+
+/**
+ * Fail-stop takeover routing, one per machine: the machine's resolved
+ * schedule and the redirect of operations addressed to a dead device.
+ * Pure plan arithmetic — no detector state is read.
+ */
+class Takeover
+{
+  public:
+    /**
+     * Resolves the fail-stop schedule of current()'s plan over
+     * @p devices; empty when the plan configures none.
+     */
+    Takeover(sim::Simulator &s, int devices);
+
+    const StopSchedule &schedule() const { return sched; }
+
+    /** No fail-stop scheduled: callers skip route(). */
+    bool empty() const { return sched.empty(); }
+
+    /**
+     * The device that serves an operation addressed to @p d right
+     * now. A live device serves itself. An operation addressed to a
+     * dead device stalls until the front end could have declared the
+     * death (the nominal lease) or until the device restarts,
+     * whichever is first, then runs on the device itself (restarted)
+     * or on its buddy in [@p first, @p first + @p count) (redirected,
+     * counted in Counters::stopRedirects).
+     */
+    sim::Coro<int> route(int d, int first, int count);
+
+  private:
+    sim::Simulator &simulator;
+    Injector *inj = nullptr;
+    StopSchedule sched;
 };
 
 /** What the detector observed, for metrics and availability_sweep. */

@@ -33,37 +33,12 @@ namespace
 
 thread_local Injector *tlsInjector = nullptr;
 
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
-        fatal("fault spec: %s=\"%s\" is not a number", key.c_str(),
-              value.c_str());
-    // NaN slips past every range check below; infinity overflows the
-    // tick conversions.
-    if (!std::isfinite(v))
-        fatal("fault spec: %s=%s is not finite", key.c_str(),
-              value.c_str());
-    return v;
-}
-
-long
-parseInt(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        fatal("fault spec: %s=\"%s\" is not an integer", key.c_str(),
-              value.c_str());
-    return v;
-}
+constexpr SpecReader kSpec{"fault"};
 
 double
 parseRate(const std::string &key, const std::string &value)
 {
-    double v = parseDouble(key, value);
+    double v = kSpec.number(key, value);
     if (v < 0.0 || v > 1.0)
         fatal("fault spec: %s=%g must be a probability in [0, 1]",
               key.c_str(), v);
@@ -86,7 +61,7 @@ parseVictimList(const std::string &key, const std::string &value)
             fatal("fault spec: %s=\"%s\" has an empty victim entry "
                   "(expected '+'-separated indices, e.g. 1+4+7)",
                   key.c_str(), value.c_str());
-        long v = parseInt(key, item);
+        long v = kSpec.integer(key, item);
         if (v < 0)
             fatal("fault spec: %s victim %ld must be >= 0",
                   key.c_str(), v);
@@ -100,41 +75,77 @@ parseVictimList(const std::string &key, const std::string &value)
 
 } // namespace
 
-FaultPlan
-FaultPlan::parse(const std::string &spec)
+void
+SpecReader::forEach(
+    const std::string &spec,
+    const std::function<void(const std::string &, const std::string &)>
+        &item) const
 {
-    FaultPlan plan;
     std::size_t pos = 0;
     while (pos < spec.size()) {
         std::size_t comma = spec.find(',', pos);
         if (comma == std::string::npos)
             comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
+        std::string kv = spec.substr(pos, comma - pos);
         pos = comma + 1;
-        if (item.empty())
+        if (kv.empty())
             continue;
-        std::size_t eq = item.find('=');
+        std::size_t eq = kv.find('=');
         if (eq == std::string::npos)
-            fatal("fault spec: \"%s\" is not key=value", item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string value = item.substr(eq + 1);
+            fatal("%s spec: \"%s\" is not key=value", kind, kv.c_str());
+        item(kv.substr(0, eq), kv.substr(eq + 1));
+    }
+}
 
+double
+SpecReader::number(const std::string &key, const std::string &value) const
+{
+    char *end = nullptr;
+    double v = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0')
+        fatal("%s spec: %s=\"%s\" is not a number", kind, key.c_str(),
+              value.c_str());
+    // NaN slips past every range check; infinity overflows the tick
+    // conversions.
+    if (!std::isfinite(v))
+        fatal("%s spec: %s=%s is not finite", kind, key.c_str(),
+              value.c_str());
+    return v;
+}
+
+long
+SpecReader::integer(const std::string &key, const std::string &value) const
+{
+    char *end = nullptr;
+    long v = std::strtol(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0')
+        fatal("%s spec: %s=\"%s\" is not an integer", kind, key.c_str(),
+              value.c_str());
+    return v;
+}
+
+FaultPlan
+FaultPlan::parse(const std::string &spec)
+{
+    FaultPlan plan;
+    kSpec.forEach(spec, [&](const std::string &key,
+                            const std::string &value) {
         if (key == "seed") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 0)
                 fatal("fault spec: seed=%ld must be >= 0", v);
             plan.seed = static_cast<std::uint64_t>(v);
         } else if (key == "disk.slow.frac") {
             plan.diskSlowFrac = parseRate(key, value);
         } else if (key == "disk.slow.factor") {
-            plan.diskSlowFactor = parseDouble(key, value);
+            plan.diskSlowFactor = kSpec.number(key, value);
             if (plan.diskSlowFactor < 1.0)
                 fatal("fault spec: disk.slow.factor=%g must be >= 1",
                       plan.diskSlowFactor);
         } else if (key == "disk.media.rate") {
             plan.diskMediaRate = parseRate(key, value);
         } else if (key == "disk.media.retries") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 1)
                 fatal("fault spec: disk.media.retries=%ld must be >= 1",
                       v);
@@ -146,12 +157,12 @@ FaultPlan::parse(const std::string &spec)
         } else if (key == "net.corrupt.rate") {
             plan.netCorruptRate = parseRate(key, value);
         } else if (key == "net.retries") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 1)
                 fatal("fault spec: net.retries=%ld must be >= 1", v);
             plan.netRetries = static_cast<int>(v);
         } else if (key == "net.timeout.us") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 1)
                 fatal("fault spec: net.timeout.us=%ld must be >= 1", v);
             plan.netTimeout = sim::microseconds(
@@ -161,31 +172,31 @@ FaultPlan::parse(const std::string &spec)
         } else if (key == "stop.rate") {
             plan.stopRate = parseRate(key, value);
         } else if (key == "stop.at.ms") {
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v < 0.0)
                 fatal("fault spec: stop.at.ms=%g must be >= 0", v);
             plan.stopAt = sim::fromSeconds(v * 1e-3);
         } else if (key == "stop.restart.ms") {
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v <= 0.0)
                 fatal("fault spec: stop.restart.ms=%g must be > 0", v);
             plan.stopRestart = sim::fromSeconds(v * 1e-3);
         } else if (key == "hb.period.ms") {
             // At least one 1 ns tick, so the period is positive in
             // ticks.
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v < 1e-6)
                 fatal("fault spec: hb.period.ms=%g must be >= 1e-06 "
                       "(one tick)",
                       v);
             plan.hbPeriod = sim::fromSeconds(v * 1e-3);
         } else if (key == "hb.timeout.x") {
-            plan.hbTimeoutX = parseDouble(key, value);
+            plan.hbTimeoutX = kSpec.number(key, value);
             if (plan.hbTimeoutX < 1.0)
                 fatal("fault spec: hb.timeout.x=%g must be >= 1",
                       plan.hbTimeoutX);
         } else if (key == "rebuild.rate.mbs") {
-            plan.rebuildRateMBs = parseDouble(key, value);
+            plan.rebuildRateMBs = kSpec.number(key, value);
             if (plan.rebuildRateMBs <= 0.0)
                 fatal("fault spec: rebuild.rate.mbs=%g must be > 0",
                       plan.rebuildRateMBs);
@@ -198,7 +209,7 @@ FaultPlan::parse(const std::string &spec)
                   "hb.period.ms, hb.timeout.x, rebuild.rate.mbs)",
                   key.c_str());
         }
-    }
+    });
     if (plan.netDropRate + plan.netCorruptRate > 1.0)
         fatal("fault spec: net.drop.rate + net.corrupt.rate = %g "
               "exceeds 1",
@@ -218,7 +229,7 @@ FaultPlan::fromEnv()
 namespace
 {
 
-/** Shortest decimal that parseDouble reads back to exactly @p v. */
+/** Shortest decimal that SpecReader::number reads back to exactly @p v. */
 std::string
 numStr(double v)
 {
@@ -348,15 +359,15 @@ StopSchedule::deathWithin(sim::Tick from, sim::Tick to) const
 }
 
 int
-StopSchedule::buddyOf(int device, int count) const
+StopSchedule::buddyOf(int device, int first, int count) const
 {
     for (int step = 1; step < count; ++step) {
-        int peer = (device + step) % count;
+        int peer = first + (device - first + step) % count;
         if (!victimOf(peer))
             return peer;
     }
-    panic("StopSchedule::buddyOf: no surviving peer among %d devices",
-          count);
+    panic("StopSchedule::buddyOf: no surviving peer in [%d, +%d)",
+          first, count);
 }
 
 StopSchedule
@@ -527,6 +538,47 @@ Injector *
 current()
 {
     return tlsInjector;
+}
+
+LossyLinks::LossyLinks(const std::string &prefix)
+{
+    Injector *i = current();
+    if (!i || !i->plan().netFaultsActive())
+        return;
+    inj = i;
+    if (obs::Session *session = obs::session()) {
+        obs::MetricRegistry &m = session->metrics();
+        obsRetrans = &m.counter(prefix + ".fault.retransmits");
+        obsDrops = &m.counter(prefix + ".fault.drops");
+        obsCorrupt = &m.counter(prefix + ".fault.corruptions");
+        obsAttempts = &m.histogram(prefix + ".fault.attempts");
+    }
+}
+
+std::optional<sim::Tick>
+LossyLinks::retry(std::uint64_t site, std::uint64_t seq, int attempt,
+                  sim::Tick nack)
+{
+    Injector::NetFail outcome = inj->netAttempt(site, seq, attempt);
+    if (outcome == Injector::NetFail::None) {
+        if (attempt > 0 && obsAttempts)
+            obsAttempts->sample(static_cast<std::uint64_t>(attempt + 1));
+        return std::nullopt;
+    }
+    Counters &ctr = inj->counters();
+    ++ctr.netRetransmits;
+    if (obsRetrans)
+        obsRetrans->add();
+    if (outcome == Injector::NetFail::Drop) {
+        ++ctr.netDrops;
+        if (obsDrops)
+            obsDrops->add();
+        return inj->plan().netTimeout << std::min(attempt, 16);
+    }
+    ++ctr.netCorruptions;
+    if (obsCorrupt)
+        obsCorrupt->add();
+    return nack;
 }
 
 } // namespace howsim::fault

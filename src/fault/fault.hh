@@ -23,15 +23,23 @@
 #define HOWSIM_FAULT_FAULT_HH
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "sim/awaitables.hh"
+#include "sim/coro.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::obs
 {
+class Counter;
+class Histogram;
 class Session;
 } // namespace howsim::obs
 
@@ -213,11 +221,12 @@ struct StopSchedule
     bool deathWithin(sim::Tick from, sim::Tick to) const;
 
     /**
-     * The next device after @p device (cyclically, among @p count)
-     * that is never a victim — the mirror/replica peer that absorbs
-     * the victim's work. Requires at least one non-victim.
+     * The next device after @p device, cyclically within
+     * [@p first, @p first + @p count), that is never a victim — the
+     * mirror/replica peer that absorbs the victim's work. Requires
+     * at least one non-victim in the range.
      */
-    int buddyOf(int device, int count) const;
+    int buddyOf(int device, int first, int count) const;
 
     /**
      * Resolve @p plan against @p count devices: explicit victims
@@ -263,6 +272,33 @@ std::uint64_t siteId(std::string_view name);
 
 /** Stable site id for a directed link (endpoints may be -1 = host). */
 std::uint64_t linkSite(int src, int dst);
+
+/**
+ * The comma-separated key=value grammar FaultPlan::parse and
+ * traffic::TrafficPlan::parse share. Every fatal() names the spec
+ * kind first ("fault spec: ...").
+ */
+struct SpecReader
+{
+    /** "fault" or "traffic". */
+    const char *kind;
+
+    /**
+     * Call @p item(key, value) for each item of @p spec in order,
+     * skipping empty items.
+     */
+    void forEach(const std::string &spec,
+                 const std::function<void(const std::string &,
+                                          const std::string &)> &item)
+        const;
+
+    /** @p value as a finite number. */
+    double number(const std::string &key,
+                  const std::string &value) const;
+
+    /** @p value as a base-10 integer. */
+    long integer(const std::string &key, const std::string &value) const;
+};
 
 /**
  * The injection decisions for one plan plus the event totals. One
@@ -340,6 +376,68 @@ class Scope
 
 /** The thread's active injector, or null when faults are off. */
 Injector *current();
+
+/**
+ * Injected frame loss on one machine's interconnect (the Active Disk
+ * loop, the message layer). Each frame takes the next sequence number
+ * of its directed link, and each attempt moves the whole frame (a
+ * dropped one still occupied the wire). A drop is noticed by the
+ * sender's retransmission timeout, doubling per attempt (bounded
+ * exponential backoff); corruption is caught by the receiver's
+ * checksum and NACKed. Outcomes hash (seed, link, sequence, attempt),
+ * so runs are bit-reproducible.
+ */
+class LossyLinks
+{
+  public:
+    /**
+     * Binds current() when its plan has network faults, and the live
+     * obs session's <@p prefix>.fault.{retransmits,drops,corruptions,
+     * attempts} metrics.
+     */
+    explicit LossyLinks(const std::string &prefix);
+
+    /** Is frame loss injected? Callers move bytes directly if not. */
+    bool active() const { return inj != nullptr; }
+
+    /**
+     * Deliver one frame @p src -> @p dst (-1 = a front end): await
+     * @p transfer() until an attempt gets through, waiting out the
+     * backoff after a drop and @p nack after a corruption.
+     */
+    template <typename Transfer>
+    sim::Coro<void>
+    deliver(int src, int dst, sim::Tick nack, Transfer transfer)
+    {
+        const std::uint64_t site = linkSite(src, dst);
+        const std::uint64_t seq = linkSeq[{src, dst}]++;
+        for (int attempt = 0;; ++attempt) {
+            co_await transfer();
+            std::optional<sim::Tick> wait
+                = retry(site, seq, attempt, nack);
+            if (!wait)
+                co_return;
+            co_await sim::delay(*wait);
+        }
+    }
+
+  private:
+    /**
+     * Count attempt @p attempt's outcome: none once it got through,
+     * else the wait before the next attempt.
+     */
+    std::optional<sim::Tick> retry(std::uint64_t site,
+                                   std::uint64_t seq, int attempt,
+                                   sim::Tick nack);
+
+    Injector *inj = nullptr;
+    std::map<std::pair<int, int>, std::uint64_t> linkSeq;
+    // Cached observability hooks; null when observability is off.
+    obs::Counter *obsRetrans = nullptr;
+    obs::Counter *obsDrops = nullptr;
+    obs::Counter *obsCorrupt = nullptr;
+    obs::Histogram *obsAttempts = nullptr;
+};
 
 } // namespace howsim::fault
 

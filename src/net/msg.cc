@@ -1,6 +1,5 @@
 #include "net/msg.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -19,69 +18,6 @@ MsgLayer::MsgLayer(sim::Simulator &s, Network &n, MsgParams params)
         obsSess = session;
         obsMsgs = &session->metrics().counter("msg.sent");
         obsBytes = &session->metrics().counter("msg.bytes");
-    }
-    if (fault::Injector *inj = fault::current()) {
-        if (inj->plan().netFaultsActive()) {
-            faultInj = inj;
-            if (obsSess) {
-                obsRetrans = &obsSess->metrics().counter(
-                    "msg.fault.retransmits");
-                obsDrops = &obsSess->metrics().counter(
-                    "msg.fault.drops");
-                obsCorrupt = &obsSess->metrics().counter(
-                    "msg.fault.corruptions");
-                obsAttempts = &obsSess->metrics().histogram(
-                    "msg.fault.attempts");
-            }
-        }
-    }
-}
-
-/**
- * Transport with injected per-link frame loss. Each attempt moves the
- * bytes over the fabric (a dropped train still occupied the wire); a
- * drop is noticed by the sender's retransmission timeout, doubling
- * per attempt (bounded exponential backoff), while corruption is
- * caught by the receiver's checksum and NACKed after one software
- * round trip. Attempt outcomes hash (seed, link, message sequence,
- * attempt), so both transfer engines — whose per-transport completion
- * ticks are identical by DESIGN.md section 12 — retransmit at
- * identical ticks.
- */
-sim::Coro<void>
-MsgLayer::faultyTransport(int src, int dst, std::uint64_t bytes)
-{
-    const fault::FaultPlan &plan = faultInj->plan();
-    const std::uint64_t site = fault::linkSite(src, dst);
-    const std::uint64_t seq = linkSeq[{src, dst}]++;
-    for (int attempt = 0;; ++attempt) {
-        co_await network.transport(src, dst, bytes);
-        fault::Injector::NetFail outcome
-            = faultInj->netAttempt(site, seq, attempt);
-        if (outcome == fault::Injector::NetFail::None) {
-            if (attempt > 0 && obsAttempts) {
-                obsAttempts->sample(
-                    static_cast<std::uint64_t>(attempt + 1));
-            }
-            co_return;
-        }
-        fault::Counters &ctr = faultInj->counters();
-        ++ctr.netRetransmits;
-        if (obsRetrans)
-            obsRetrans->add();
-        if (outcome == fault::Injector::NetFail::Drop) {
-            ++ctr.netDrops;
-            if (obsDrops)
-                obsDrops->add();
-            co_await sim::delay(plan.netTimeout
-                                << std::min(attempt, 16));
-        } else {
-            ++ctr.netCorruptions;
-            if (obsCorrupt)
-                obsCorrupt->add();
-            co_await sim::delay(msgParams.recvOverhead
-                                + msgParams.sendOverhead);
-        }
     }
 }
 
@@ -132,10 +68,14 @@ MsgLayer::send(int src, int dst, Message msg)
         co_await simulator.hop(hopLatency,
                                hostKeys[static_cast<std::size_t>(src)]);
     }
-    if (faultInj && src != dst)
-        co_await faultyTransport(src, dst, msg.bytes);
-    else
+    // A corrupted message is NACKed after one software round trip.
+    if (links.active() && src != dst) {
+        co_await links.deliver(
+            src, dst, msgParams.recvOverhead + msgParams.sendOverhead,
+            [&] { return network.transport(src, dst, msg.bytes); });
+    } else {
         co_await network.transport(src, dst, msg.bytes);
+    }
     if (hops)
         co_await simulator.hop(hopLatency, fabricKeys);
     int tag = msg.tag;
@@ -203,8 +143,10 @@ Barrier::arrive()
         count = 0;
         ++gen;
         current = std::make_shared<sim::Trigger>();
+        // A raw pointer keeps the closure in the event word: this
+        // (last) arrival's frame holds the round until it fires.
         simulator.scheduleIn(completionCost,
-                             [round] { round->fire(); });
+                             [trigger = round.get()] { trigger->fire(); });
     }
     co_await round->wait();
 }
@@ -241,6 +183,43 @@ Barrier::arrive(int participant)
     co_await simulator.hop(hopLatency,
                            arriveKeys[static_cast<std::size_t>(participant)]);
     co_await Park{this};
+}
+
+BarrierSet::BarrierSet(sim::Simulator &s, int n, sim::Tick cost)
+    : simulator(s), batch(s, n, cost)
+{
+}
+
+sim::Coro<void>
+BarrierSet::arrive(int participant, int stream)
+{
+    if (stream == 0)
+        return batch.arrive(participant);
+    auto it = streams.find(stream);
+    if (it == streams.end()) {
+        it = streams
+                 .emplace(stream, std::make_unique<Barrier>(
+                                      simulator, batch.size(),
+                                      batch.cost()))
+                 .first;
+    }
+    return it->second->arrive();
+}
+
+void
+BarrierSet::useKeyedProtocol(sim::Tick hop)
+{
+    if (batch.size() > 1)
+        batch.useKeyedProtocol(hop);
+}
+
+void
+BarrierSet::retire(int stream)
+{
+    if (stream <= 0)
+        panic("BarrierSet::retire: stream %d is not a traffic stream",
+              stream);
+    streams.erase(stream);
 }
 
 void

@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/fault.hh"
 #include "net/network.hh"
 #include "sim/awaitables.hh"
 #include "sim/channel.hh"
@@ -26,14 +27,8 @@
 
 namespace howsim::obs
 {
-class Histogram;
 class Session;
 } // namespace howsim::obs
-
-namespace howsim::fault
-{
-class Injector;
-} // namespace howsim::fault
 
 namespace howsim::net
 {
@@ -111,8 +106,6 @@ class MsgLayer
     using Queue = sim::Channel<Message>;
 
     Queue &queueFor(int host, int tag);
-    sim::Coro<void> faultyTransport(int src, int dst,
-                                    std::uint64_t bytes);
 
     sim::Simulator &simulator;
     Network &network;
@@ -122,15 +115,9 @@ class MsgLayer
     obs::Session *obsSess = nullptr;
     obs::Counter *obsMsgs = nullptr;
     obs::Counter *obsBytes = nullptr;
-    // Fault injection: per-link message sequence counters feed the
-    // deterministic drop/corrupt decisions. Null/untouched when the
-    // thread's plan has no network faults.
-    fault::Injector *faultInj = nullptr;
-    std::map<std::pair<int, int>, std::uint64_t> linkSeq;
-    obs::Counter *obsRetrans = nullptr;
-    obs::Counter *obsDrops = nullptr;
-    obs::Counter *obsCorrupt = nullptr;
-    obs::Histogram *obsAttempts = nullptr;
+    // Injected frame loss on cross-host sends (inactive when the
+    // thread's plan has no network faults).
+    fault::LossyLinks links{"msg"};
 
     // Keyed protocol (useKeyedProtocol): hostKeys[h] keys host h's
     // send hops and delivery acks, fabricKeys the fabric's deliveries.
@@ -184,6 +171,12 @@ class Barrier
     /** Rounds completed so far. */
     int generation() const { return gen; }
 
+    /** Participants per round. */
+    int size() const { return expected; }
+
+    /** Modeled completion latency once all have arrived. */
+    sim::Tick cost() const { return completionCost; }
+
     /** Dissemination-cost helper: ceil(log2 n) * per_step. */
     static sim::Tick logCost(int n, sim::Tick per_step);
 
@@ -216,6 +209,40 @@ class Barrier
     /** Coroutines parked at the home in the open round, in key order. */
     std::vector<std::coroutine_handle<>> parked;
     /** @} */
+};
+
+/**
+ * One machine's phase barriers: the batch barrier (stream 0) plus one
+ * shared-state barrier per concurrent traffic stream, made on first
+ * use with the same participants and cost, so one query's phase
+ * boundary never gates another's.
+ */
+class BarrierSet
+{
+  public:
+    BarrierSet(sim::Simulator &s, int n, sim::Tick cost);
+
+    /**
+     * Arrive at @p stream's barrier as @p participant and wait for
+     * the round. The batch barrier's arrivals are keyed after
+     * useKeyedProtocol().
+     */
+    sim::Coro<void> arrive(int participant, int stream);
+
+    /**
+     * Key the batch barrier's arrivals (Barrier::useKeyedProtocol). A
+     * single participant keeps the shared-state barrier: logCost(1)
+     * == 0 leaves no room for the hop.
+     */
+    void useKeyedProtocol(sim::Tick hopLatency);
+
+    /** Drop a completed traffic stream's barrier (stream > 0 only). */
+    void retire(int stream);
+
+  private:
+    sim::Simulator &simulator;
+    Barrier batch;
+    std::map<int, std::unique_ptr<Barrier>> streams;
 };
 
 } // namespace howsim::net

@@ -6,9 +6,6 @@
 namespace howsim::obs
 {
 
-namespace
-{
-
 /** Append a JSON-escaped string literal (with quotes) to @p out. */
 void
 appendJsonString(std::string &out, const std::string &s)
@@ -44,6 +41,9 @@ appendJsonString(std::string &out, const std::string &s)
     }
     out += '"';
 }
+
+namespace
+{
 
 void
 appendU64(std::string &out, std::uint64_t v)

@@ -223,6 +223,9 @@ class Scope
     std::string pre;
 };
 
+/** Append a JSON-escaped string literal (with quotes) to @p out. */
+void appendJsonString(std::string &out, const std::string &s);
+
 } // namespace howsim::obs
 
 #endif // HOWSIM_OBS_METRICS_HH

@@ -3,47 +3,13 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/metrics.hh"
+
 namespace howsim::obs
 {
 
 namespace
 {
-
-/** Append a JSON-escaped string literal (with quotes) to @p out. */
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 /** Ticks (ns) to the microsecond timestamps trace viewers expect. */
 void

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "fault/detector.hh"
-#include "fault/fault.hh"
 #include "sim/awaitables.hh"
 #include "sim/logging.hh"
 
@@ -13,7 +11,12 @@ namespace howsim::smp
 
 SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
                        const disk::DiskSpec &spec, SmpParams params)
-    : simulator(s), smpParams(params)
+    : simulator(s), smpParams(params),
+      barriers(s, nprocs,
+               net::Barrier::logCost(nprocs,
+                                     2 * smpParams.interconnectLatency
+                                         + sim::microseconds(2))),
+      takeover(s, ndisks)
 {
     if (nprocs <= 0 || ndisks <= 0)
         panic("SmpMachine: processor and disk counts must be positive");
@@ -58,59 +61,12 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
         // flight models the FC arbitration grant.
         raw.back()->enableSplit(s, fc->minGrantLatency());
     }
-
-    syncBarrier = std::make_unique<net::Barrier>(
-        s, nprocs,
-        net::Barrier::logCost(nprocs,
-                              2 * smpParams.interconnectLatency
-                                  + sim::microseconds(2)));
-
-    if (fault::Injector *inj = fault::current()) {
-        if (inj->plan().stopConfigured()) {
-            stopInj = inj;
-            stopSched
-                = fault::StopSchedule::resolve(inj->plan(), ndisks);
-        }
-    }
 }
 
 disk::Disk &
 SmpMachine::driveMech(int d)
 {
     return *farm[static_cast<std::size_t>(d)];
-}
-
-sim::Coro<int>
-SmpMachine::route(DiskGroup group, int disk_idx)
-{
-    const fault::StopSchedule::Victim *v
-        = stopSched.victimOf(disk_idx);
-    if (v == nullptr || stopSched.aliveAt(disk_idx, simulator.now()))
-        co_return disk_idx;
-    if (group.diskCount < 2)
-        panic("SmpMachine::route: fail-stop of the only drive in "
-              "the group");
-    // Stall until the OS could have declared the death (the nominal
-    // lease) or until the drive restarts, whichever comes first.
-    sim::Tick ready = v->stopAt + stopSched.lease;
-    if (v->rejoins() && v->restartAt < ready)
-        ready = v->restartAt;
-    if (simulator.now() < ready)
-        co_await sim::delay(ready - simulator.now());
-    if (stopSched.aliveAt(disk_idx, simulator.now()))
-        co_return disk_idx;
-    ++stopInj->counters().stopRedirects;
-    // The mirror: the next never-victim member of the group.
-    for (int k = 1; k < group.diskCount; ++k) {
-        int cand = group.firstDisk
-                   + (disk_idx - group.firstDisk + k)
-                         % group.diskCount;
-        if (stopSched.victimOf(cand) == nullptr)
-            co_return cand;
-    }
-    panic("SmpMachine::route: every drive in group [%d, +%d) is a "
-          "victim",
-          group.firstDisk, group.diskCount);
 }
 
 sim::Coro<void>
@@ -147,8 +103,10 @@ sim::Coro<void>
 SmpMachine::chunkIo(DiskGroup group, int disk_idx, std::uint64_t offset,
                     std::uint64_t bytes, bool write, StripeJoin &join)
 {
-    if (!stopSched.empty())
-        disk_idx = co_await route(group, disk_idx);
+    if (!takeover.empty()) {
+        disk_idx = co_await takeover.route(disk_idx, group.firstDisk,
+                                           group.diskCount);
+    }
     os::RawDisk *rd = raw[static_cast<std::size_t>(disk_idx)].get();
     if (write)
         co_await rd->write(offset, bytes);
@@ -166,7 +124,7 @@ SmpMachine::heartbeat(int d)
     // stripe chunks on the shared loop, so the measured detection
     // latency grows with I/O load.
     co_await fc->transfer(fault::kHeartbeatBytes);
-    if (!stopSched.aliveAt(d, simulator.now()))
+    if (!stopSchedule().aliveAt(d, simulator.now()))
         co_return false;
     co_await sim::delay(smpParams.costs.interrupt);
     co_await fc->transfer(fault::kHeartbeatBytes);
@@ -177,7 +135,7 @@ sim::Coro<void>
 SmpMachine::rebuildChunk(int victim, std::uint64_t offset,
                          std::uint64_t bytes)
 {
-    int mirror = stopSched.buddyOf(victim, diskCount());
+    int mirror = stopSchedule().buddyOf(victim, 0, diskCount());
     co_await raw[static_cast<std::size_t>(mirror)]->read(offset,
                                                          bytes);
     co_await xio->transfer(bytes);
@@ -199,39 +157,6 @@ SmpMachine::blockTransfer(int src_cpu, int dst_cpu, std::uint64_t bytes)
     co_await src.linkOut->transfer(bytes);
     co_await dst.linkIn->transfer(bytes);
     co_await dst.bte->transfer(bytes);
-}
-
-sim::Coro<void>
-SmpMachine::barrier(int stream)
-{
-    if (stream == 0) {
-        co_await syncBarrier->arrive();
-        co_return;
-    }
-    auto it = streamBarriers.find(stream);
-    if (it == streamBarriers.end()) {
-        it = streamBarriers
-                 .emplace(stream,
-                          std::make_unique<net::Barrier>(
-                              simulator, cpuCount(),
-                              net::Barrier::logCost(
-                                  cpuCount(),
-                                  2 * smpParams.interconnectLatency
-                                      + sim::microseconds(2))))
-                 .first;
-    }
-    co_await it->second->arrive();
-}
-
-void
-SmpMachine::retireStream(int stream)
-{
-    if (stream <= 0) {
-        panic("SmpMachine::retireStream: stream %d is not a traffic "
-              "stream",
-              stream);
-    }
-    streamBarriers.erase(stream);
 }
 
 SmpMachine::SharedQueue::SharedQueue(SmpMachine &m, std::int64_t total)

@@ -13,13 +13,12 @@
 #define HOWSIM_SMP_SMP_MACHINE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "bus/bus.hh"
 #include "disk/disk.hh"
-#include "fault/fault.hh"
+#include "fault/detector.hh"
 #include "net/msg.hh"
 #include "os/cpu.hh"
 #include "os/os_costs.hh"
@@ -80,7 +79,7 @@ struct DiskGroup
  * farm. Processor and disk counts are independent, though the
  * paper's configurations keep them equal.
  */
-class SmpMachine
+class SmpMachine final : public fault::AvailabilityTransport
 {
   public:
     SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
@@ -122,14 +121,24 @@ class SmpMachine
                                   std::uint64_t bytes);
 
     /**
-     * Global barrier over all processors. Streams get independent
-     * barriers (identical cost model) so concurrent traffic queries
-     * never gate each other's phase boundaries; 0 is the batch path.
+     * Global barrier over all processors on @p stream
+     * (net::BarrierSet). It is never keyed, so arrivals carry no
+     * processor id.
      */
-    sim::Coro<void> barrier(int stream = 0);
+    sim::Coro<void>
+    barrier(int stream = 0)
+    {
+        return barriers.arrive(0, stream);
+    }
 
     /** Drop a completed traffic query's barrier (stream > 0 only). */
-    void retireStream(int stream);
+    void retireStream(int stream) { barriers.retire(stream); }
+
+    /**
+     * A no-op: the SMP runs one barrier and I/O protocol in batch and
+     * traffic runs alike (the raw-disk split protocol is always on).
+     */
+    void useKeyedProtocols() {}
 
     /**
      * Shared work queue of fixed-size block indices (the paper's
@@ -161,13 +170,24 @@ class SmpMachine
     /** @{ */
 
     /** This machine's resolved fail-stop schedule (empty = none). */
-    const fault::StopSchedule &stopSchedule() const { return stopSched; }
+    const fault::StopSchedule &
+    stopSchedule() const
+    {
+        return takeover.schedule();
+    }
+
+    /** Monitored devices: the farm's drives. */
+    int deviceCount() const override { return diskCount(); }
 
     /**
      * Latency of the failure detector's keyed rejoin hop: the
      * inter-board link latency.
      */
-    sim::Tick crossLatency() const { return smpParams.interconnectLatency; }
+    sim::Tick
+    crossLatency() const override
+    {
+        return smpParams.interconnectLatency;
+    }
 
     /**
      * One failure-detector probe round trip over the shared FC loop
@@ -175,7 +195,7 @@ class SmpMachine
      * turnaround, an ack frame — unless @p d is down at probe
      * arrival, in which case there is no ack.
      */
-    sim::Coro<bool> heartbeat(int d);
+    sim::Coro<bool> heartbeat(int d) override;
 
     /**
      * Copy one mirror chunk back onto rejoined drive @p victim: a
@@ -184,7 +204,7 @@ class SmpMachine
      * I/O.
      */
     sim::Coro<void> rebuildChunk(int victim, std::uint64_t offset,
-                                 std::uint64_t bytes);
+                                 std::uint64_t bytes) override;
 
     /** @} */
 
@@ -226,26 +246,12 @@ class SmpMachine
     std::vector<std::unique_ptr<os::RawDisk>> raw;
     std::unique_ptr<bus::Bus> fc;
     std::unique_ptr<bus::Bus> xio;
-    std::unique_ptr<net::Barrier> syncBarrier;
-    // Per-stream barriers for concurrent traffic queries, created on
-    // first use; the batch path (stream 0) never touches this map.
-    std::map<int, std::unique_ptr<net::Barrier>> streamBarriers;
+    net::BarrierSet barriers;
 
-    // Fail-stop takeover (empty schedule / null when not
-    // configured): the OS stalls chunks destined for a dead drive
-    // until the lease (or the restart) and then redirects them to
-    // the next live drive in the group.
-    fault::StopSchedule stopSched;
-    fault::Injector *stopInj = nullptr;
-
-    /**
-     * Takeover routing for one stripe chunk: the drive of @p group
-     * that serves a chunk addressed to @p disk_idx right now. Same
-     * stall-then-redirect contract as ActiveDiskArray::route, except
-     * the redirect target is group-relative (the next never-victim
-     * member).
-     */
-    sim::Coro<int> route(DiskGroup group, int disk_idx);
+    // The OS stalls chunks destined for a dead drive until the lease
+    // (or the restart) and then redirects them to the next
+    // never-victim drive of the chunk's group.
+    fault::Takeover takeover;
 };
 
 } // namespace howsim::smp

@@ -241,9 +241,8 @@ class TaskRunner
 
     // Fail-stop needs no runner state: a dead device's workers keep
     // running and the machine hardware-redirects their operations to
-    // the takeover peer (ActiveDiskArray::route,
-    // ClusterMachine::route), so every task gets the degraded path
-    // for free.
+    // the takeover peer (fault::Takeover::route), so every task gets
+    // the degraded path for free.
 };
 
 } // namespace howsim::tasks

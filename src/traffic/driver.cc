@@ -5,17 +5,14 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <type_traits>
 
-#include "arch/cluster_machine.hh"
-#include "diskos/active_disk_array.hh"
+#include "core/machines.hh"
 #include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "sim/awaitables.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
-#include "smp/smp_machine.hh"
-#include "tasks/smp_tasks.hh"
-#include "tasks/task_runner.hh"
 #include "traffic/policy.hh"
 
 namespace howsim::traffic
@@ -53,8 +50,8 @@ class QueryExec
         const workload::DatasetSpec &data) = 0;
 };
 
-/** Runs each query on a fresh @p Runner over the shared machine. */
-template <typename Runner, typename Machine>
+/** Runs each query on a fresh runner over the shared @p Machine. */
+template <typename Machine>
 class RunnerExec final : public QueryExec
 {
   public:
@@ -67,7 +64,7 @@ class RunnerExec final : public QueryExec
     run(std::uint64_t qid, double memShare, workload::TaskKind kind,
         const workload::DatasetSpec &data) override
     {
-        Runner runner(simulator, machine, cm);
+        core::RunnerFor<Machine> runner(simulator, machine, cm);
         runner.setStream(static_cast<int>(qid) + 1);
         runner.setMemoryShare(memShare);
         co_await runner.runConcurrent(kind, data);
@@ -470,63 +467,21 @@ runTraffic(const core::ExperimentConfig &config,
               ? fault::FaultPlan::fromEnv()
               : fault::FaultPlan::parse(config.faults);
     core::validateConfig(config, fplan);
-    // Fail-stop plans run under traffic: the machines' takeover
-    // redirect keeps every attempt's output correct, and the driver's
-    // resolved schedule decides (pure plan arithmetic) which queries
-    // retry. The schedule is resolved once here, identically to the
-    // machine's own resolution.
-    fault::StopSchedule stops
-        = fplan.stopConfigured()
-              ? fault::StopSchedule::resolve(fplan, config.scale)
-              : fault::StopSchedule{};
     auto obsSession = obs::Session::fromEnv(trafficLabel(config));
     fault::Scope faultScope(fplan);
     sim::Simulator simulator;
-    switch (config.arch) {
-      case core::Arch::ActiveDisk: {
-        diskos::AdParams params;
-        params.memoryBytes = config.adMemoryBytes;
-        params.interconnectRate = config.interconnectRate;
-        params.interconnectLoops = config.interconnectLoops;
-        params.directD2d = config.directD2d;
-        params.frontendCpuMhz = config.adFrontendMhz;
-        diskos::ActiveDiskArray machine(simulator, config.scale,
-                                        config.drive, params);
-        RunnerExec<tasks::TaskRunner, diskos::ActiveDiskArray> exec(
+    // Fail-stop plans run under traffic: the machine's takeover
+    // redirect keeps every attempt's output correct, and its resolved
+    // schedule decides (pure plan arithmetic) which queries retry.
+    return core::withMachine(config, simulator, [&](auto &machine) {
+        RunnerExec<std::remove_reference_t<decltype(machine)>> exec(
             simulator, machine, config.costs);
-        auto result = drive(simulator, plan, exec, stops,
-                            obsSession.get());
+        auto result = drive(simulator, plan, exec,
+                            machine.stopSchedule(), obsSession.get());
         if (obsSession)
             obsSession->dump();
         return result;
-      }
-      case core::Arch::Cluster: {
-        arch::ClusterMachine machine(simulator, config.scale,
-                                     config.drive);
-        RunnerExec<tasks::TaskRunner, arch::ClusterMachine> exec(
-            simulator, machine, config.costs);
-        auto result = drive(simulator, plan, exec, stops,
-                            obsSession.get());
-        if (obsSession)
-            obsSession->dump();
-        return result;
-      }
-      case core::Arch::Smp: {
-        smp::SmpParams params;
-        params.fcRate = config.interconnectRate;
-        params.fcLoops = config.interconnectLoops;
-        smp::SmpMachine machine(simulator, config.scale,
-                                config.scale, config.drive, params);
-        RunnerExec<tasks::SmpTaskRunner, smp::SmpMachine> exec(
-            simulator, machine, config.costs);
-        auto result = drive(simulator, plan, exec, stops,
-                            obsSession.get());
-        if (obsSession)
-            obsSession->dump();
-        return result;
-      }
-    }
-    panic("unknown Arch");
+    });
 }
 
 } // namespace howsim::traffic

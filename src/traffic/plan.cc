@@ -1,11 +1,10 @@
 #include "traffic/plan.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
+#include "fault/fault.hh"
 #include "sim/logging.hh"
 
 namespace howsim::traffic
@@ -14,32 +13,7 @@ namespace howsim::traffic
 namespace
 {
 
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
-        fatal("traffic spec: %s=\"%s\" is not a number", key.c_str(),
-              value.c_str());
-    // NaN slips past every range check; infinity overflows the tick
-    // conversions.
-    if (!std::isfinite(v))
-        fatal("traffic spec: %s=%s is not finite", key.c_str(),
-              value.c_str());
-    return v;
-}
-
-long
-parseInt(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        fatal("traffic spec: %s=\"%s\" is not an integer", key.c_str(),
-              value.c_str());
-    return v;
-}
+constexpr fault::SpecReader kSpec{"traffic"};
 
 /** The task named by the suffix of a mix./cap./share. key. */
 workload::TaskKind
@@ -69,7 +43,7 @@ parseTraceMs(const std::string &key, const std::string &value)
         pos = semi + 1;
         if (item.empty())
             continue;
-        double ms = parseDouble(key, item);
+        double ms = kSpec.number(key, item);
         if (ms < 0.0)
             fatal("traffic spec: trace.ms instant %g must be >= 0",
                   ms);
@@ -114,24 +88,10 @@ TrafficPlan::parse(const std::string &spec)
     bool sawArrival = false;
     bool sawDuration = false;
 
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("traffic spec: \"%s\" is not key=value",
-                  item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string value = item.substr(eq + 1);
-
+    kSpec.forEach(spec, [&](const std::string &key,
+                            const std::string &value) {
         if (key == "seed") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 0)
                 fatal("traffic spec: seed=%ld must be >= 0", v);
             plan.seed = static_cast<std::uint64_t>(v);
@@ -158,7 +118,7 @@ TrafficPlan::parse(const std::string &spec)
                       value.c_str());
         } else if (key == "rate") {
             sawRate = true;
-            plan.ratePerSec = parseDouble(key, value);
+            plan.ratePerSec = kSpec.number(key, value);
             if (plan.ratePerSec <= 0.0)
                 fatal("traffic spec: rate=%g queries/s must be > 0",
                       plan.ratePerSec);
@@ -166,19 +126,19 @@ TrafficPlan::parse(const std::string &spec)
             plan.trace = parseTraceMs(key, value);
         } else if (key == "clients") {
             sawClients = true;
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 1)
                 fatal("traffic spec: clients=%ld must be >= 1", v);
             plan.clients = static_cast<int>(v);
         } else if (key == "think.ms") {
             sawThink = true;
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v < 0.0)
                 fatal("traffic spec: think.ms=%g must be >= 0", v);
             plan.thinkMean = sim::fromSeconds(v * 1e-3);
         } else if (key == "duration.ms") {
             sawDuration = true;
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v <= 0.0)
                 fatal("traffic spec: duration.ms=%g must be > 0", v);
             plan.duration = sim::fromSeconds(v * 1e-3);
@@ -192,40 +152,40 @@ TrafficPlan::parse(const std::string &spec)
                       "fair)",
                       value.c_str());
         } else if (key == "max.inflight") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < 1)
                 fatal("traffic spec: max.inflight=%ld must be >= 1",
                       v);
             plan.maxInflight = static_cast<int>(v);
         } else if (key == "max.queue") {
-            long v = parseInt(key, value);
+            long v = kSpec.integer(key, value);
             if (v < -1)
                 fatal("traffic spec: max.queue=%ld must be >= -1 "
                       "(-1 = unbounded)",
                       v);
             plan.maxQueue = static_cast<int>(v);
         } else if (key == "slo.ms") {
-            double v = parseDouble(key, value);
+            double v = kSpec.number(key, value);
             if (v <= 0.0)
                 fatal("traffic spec: slo.ms=%g must be > 0", v);
             plan.slo = sim::fromSeconds(v * 1e-3);
         } else if (key.starts_with("mix.")) {
             workload::TaskKind k = parseTask(key, key.substr(4));
-            double w = parseDouble(key, value);
+            double w = kSpec.number(key, value);
             if (w <= 0.0)
                 fatal("traffic spec: %s=%g must be > 0", key.c_str(),
                       w);
             mix[k] = w;
         } else if (key.starts_with("cap.")) {
             workload::TaskKind k = parseTask(key, key.substr(4));
-            double f = parseDouble(key, value);
+            double f = kSpec.number(key, value);
             if (f <= 0.0 || f > 1.0)
                 fatal("traffic spec: %s=%g must be in (0, 1]",
                       key.c_str(), f);
             caps[k] = f;
         } else if (key.starts_with("share.")) {
             workload::TaskKind k = parseTask(key, key.substr(6));
-            double w = parseDouble(key, value);
+            double w = kSpec.number(key, value);
             if (w <= 0.0)
                 fatal("traffic spec: %s=%g must be > 0", key.c_str(),
                       w);
@@ -237,7 +197,7 @@ TrafficPlan::parse(const std::string &spec)
                   "slo.ms, mix.<task>, cap.<task>, share.<task>)",
                   key.c_str());
         }
-    }
+    });
 
     if (!sawDuration)
         fatal("traffic spec: duration.ms is required");

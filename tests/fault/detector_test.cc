@@ -2,7 +2,8 @@
  * @file Heartbeat failure detector and recovery orchestration: the
  * emergent-detection-latency, false-positive, multi-failure,
  * rejoin/rebuild, and cross-knob determinism guarantees of
- * DESIGN.md §13, checked end-to-end through core::runExperiment.
+ * DESIGN.md §13, checked end-to-end through core::runExperiment, plus
+ * the takeover routing every machine shares.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 #include "core/runner.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
+#include "sim/awaitables.hh"
+#include "sim/coro.hh"
+#include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
 using namespace howsim;
@@ -35,7 +39,78 @@ baseConfig(Arch arch, TaskKind task, int scale)
     return config;
 }
 
+/** Where and when fault::Takeover::route resumed, and its redirects. */
+struct Routed
+{
+    int device = -1;
+    sim::Tick at = 0;
+    std::uint64_t redirects = 0;
+};
+
+/**
+ * Route an operation addressed to @p d, issued at @p at, on 4 devices
+ * under the fault plan @p spec; the buddy is taken within
+ * [@p first, @p first + @p count).
+ */
+Routed
+routeAt(const char *spec, int d, sim::Tick at, int first = 0,
+        int count = 4)
+{
+    fault::Scope scope(fault::FaultPlan::parse(spec));
+    sim::Simulator simulator;
+    fault::Takeover takeover(simulator, 4);
+    Routed r;
+    auto body = [&]() -> sim::Coro<void> {
+        co_await sim::delay(at);
+        r.device = co_await takeover.route(d, first, count);
+        r.at = simulator.now();
+    };
+    simulator.spawn(body());
+    simulator.run();
+    r.redirects = scope.injector()->counters().stopRedirects;
+    return r;
+}
+
 } // namespace
+
+TEST(Takeover, RouteServesLiveRedirectsDeadAndKeepsRestarted)
+{
+    // Victim 1 dies at 10 ms; the nominal lease is 2 ms x 3.
+    const char *dies = "stop.disk=1,stop.at.ms=10,hb.period.ms=2";
+    fault::FaultPlan plan = fault::FaultPlan::parse(dies);
+    const sim::Tick issued = plan.stopAt + sim::milliseconds(2);
+
+    // A live device serves itself at once, and so does the victim
+    // before its death.
+    Routed live = routeAt(dies, 0, issued);
+    EXPECT_EQ(live.device, 0);
+    EXPECT_EQ(live.at, issued);
+    EXPECT_EQ(live.redirects, 0u);
+    Routed early = routeAt(dies, 1, plan.stopAt - 1);
+    EXPECT_EQ(early.device, 1);
+    EXPECT_EQ(early.at, plan.stopAt - 1);
+    EXPECT_EQ(early.redirects, 0u);
+
+    // A dead device stalls until the lease runs out and is then
+    // redirected to its buddy, the next never-victim of its range.
+    Routed dead = routeAt(dies, 1, issued);
+    EXPECT_EQ(dead.device, 2);
+    EXPECT_EQ(dead.at, plan.stopAt + plan.leaseTicks());
+    EXPECT_EQ(dead.redirects, 1u);
+    Routed grouped = routeAt(dies, 1, issued, 0, 2);
+    EXPECT_EQ(grouped.device, 0);
+    EXPECT_EQ(grouped.redirects, 1u);
+
+    // A device that restarts before the lease runs out serves itself
+    // from the restart on; nothing is redirected.
+    const char *restarts = "stop.disk=1,stop.at.ms=10,"
+                           "stop.restart.ms=3,hb.period.ms=2";
+    plan = fault::FaultPlan::parse(restarts);
+    Routed back = routeAt(restarts, 1, issued);
+    EXPECT_EQ(back.device, 1);
+    EXPECT_EQ(back.at, plan.stopAt + plan.stopRestart);
+    EXPECT_EQ(back.redirects, 0u);
+}
 
 TEST(Detector, DetectionLatencyIsEmergentNotConfigured)
 {

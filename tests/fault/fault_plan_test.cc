@@ -108,9 +108,18 @@ TEST(FaultPlan, StopScheduleResolvesUnionAndBuddies)
     EXPECT_TRUE(sched.deathWithin(at, at + 1));
     EXPECT_FALSE(sched.deathWithin(at + 1, at + 2));
     // The buddy is the next never-victim, cyclically.
-    EXPECT_EQ(sched.buddyOf(2, 8), 3);
-    EXPECT_EQ(sched.buddyOf(5, 8), 6);
-    EXPECT_EQ(sched.buddyOf(7, 8), 0);
+    EXPECT_EQ(sched.buddyOf(2, 0, 8), 3);
+    EXPECT_EQ(sched.buddyOf(5, 0, 8), 6);
+    EXPECT_EQ(sched.buddyOf(7, 0, 8), 0);
+    // Within a range (an SMP disk group) the buddy is range-relative:
+    // the next never-victim member, wrapping inside [first, first +
+    // count) rather than at the device count.
+    EXPECT_EQ(sched.buddyOf(2, 2, 3), 3);
+    EXPECT_EQ(sched.buddyOf(5, 4, 2), 4);
+    EXPECT_EQ(sched.buddyOf(5, 5, 3), 6);
+    EXPECT_EQ(sched.buddyOf(2, 0, 3), 0);
+    // Wrapping past a victim member: 5 wraps to 2 (a victim), then 3.
+    EXPECT_EQ(sched.buddyOf(5, 2, 4), 3);
 }
 
 TEST(FaultPlan, TrailingAndDoubledCommasAreTolerated)

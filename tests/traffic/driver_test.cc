@@ -172,19 +172,22 @@ TEST(TrafficDriver, FailStopRetriesOverlappingQueriesExactlyOnce)
     // death instant retry exactly once, everything completes, and
     // which queries retried is a pure function of the plan — so the
     // retried count and the timeline are identical across runs.
-    ExperimentConfig config = configFor(Arch::ActiveDisk, kOpenSpec);
-    config.faults = "stop.disk=1,stop.at.ms=30,hb.period.ms=2";
-    TrafficResult a = traffic::runTraffic(config);
-    EXPECT_EQ(a.completed, a.submitted);
-    EXPECT_GT(a.retried, 0u);
-    // Exactly once: each retry contributes one extra execution, never
-    // more, so retried can never exceed completed.
-    EXPECT_LE(a.retried, a.completed);
+    for (Arch arch : {Arch::ActiveDisk, Arch::Cluster, Arch::Smp}) {
+        ExperimentConfig config = configFor(arch, kOpenSpec);
+        config.faults = "stop.disk=1,stop.at.ms=30,hb.period.ms=2";
+        TrafficResult a = traffic::runTraffic(config);
+        EXPECT_EQ(a.completed, a.submitted) << core::archName(arch);
+        EXPECT_GT(a.retried, 0u) << core::archName(arch);
+        // Exactly once: each retry contributes one extra execution,
+        // never more, so retried can never exceed completed.
+        EXPECT_LE(a.retried, a.completed) << core::archName(arch);
 
-    TrafficResult b = traffic::runTraffic(config);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.retried, b.retried);
-    EXPECT_EQ(a.lastCompletion, b.lastCompletion);
+        TrafficResult b = traffic::runTraffic(config);
+        EXPECT_EQ(a.fingerprint, b.fingerprint) << core::archName(arch);
+        EXPECT_EQ(a.retried, b.retried) << core::archName(arch);
+        EXPECT_EQ(a.lastCompletion, b.lastCompletion)
+            << core::archName(arch);
+    }
 }
 
 TEST(TrafficDriver, SloShedsDoomedQueriesUnderDegradedMachine)

@@ -57,10 +57,11 @@ expectSameWork(const tasks::TaskResult &serial,
             << label << " bucket " << name;
     }
     for (const auto &[name, v] : concurrent.buckets.all()) {
-        if (!isElapsedBucket(name))
+        if (!isElapsedBucket(name)) {
             EXPECT_TRUE(serial.buckets.all().contains(name))
                 << label << " unexpected bucket " << name
                 << " only in concurrent run";
+        }
     }
 }
 
