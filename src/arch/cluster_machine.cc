@@ -33,8 +33,7 @@ ClusterMachine::ClusterMachine(sim::Simulator &s, int nnodes,
     for (int i = 0; i < nnodes; ++i) {
         auto &node = nodes[static_cast<std::size_t>(i)];
         node.drive = std::make_unique<disk::Disk>(
-            s, spec, disk::SchedPolicy::Fcfs,
-            "node" + std::to_string(i));
+            s, spec, "node" + std::to_string(i));
         node.pci = std::make_unique<bus::Bus>(s,
                                               clusterParams.nodeBus);
         node.raw = std::make_unique<os::RawDisk>(

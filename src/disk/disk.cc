@@ -10,13 +10,12 @@
 namespace howsim::disk
 {
 
-Disk::Disk(sim::Simulator &s, DiskSpec spec, SchedPolicy pol,
-           std::string name)
+Disk::Disk(sim::Simulator &s, DiskSpec spec, std::string name)
     : simulator(s), geom(std::move(spec)),
       diskSpec(&geom.diskSpec()),
       seeks(SeekCurve::shared(geom.diskSpec(),
                               geom.diskSpec().totalCylinders())),
-      policy(pol), diskName(std::move(name))
+      diskName(std::move(name))
 {
     if (obs::Session *session = obs::session()) {
         obsSess = session;
@@ -34,7 +33,7 @@ Disk::Disk(sim::Simulator &s, DiskSpec spec, SchedPolicy pol,
         obsSeekHist = &scope.histogram("seek_ticks");
         session->timeline().probe(
             diskName + ".queue_depth",
-            [this] { return static_cast<double>(queue.size()); },
+            [this] { return static_cast<double>(queueDepth()); },
             this);
     }
     if (fault::Injector *inj = fault::current()) {
@@ -51,7 +50,6 @@ Disk::Disk(sim::Simulator &s, DiskSpec spec, SchedPolicy pol,
             }
         }
     }
-    simulator.spawn(serviceLoop(), diskName + ".service");
 }
 
 Disk::~Disk()
@@ -68,8 +66,17 @@ Disk::capacityBytes() const
     return geom.totalSectors() * diskSpec->sectorBytes;
 }
 
-sim::Coro<AccessDetail>
-Disk::access(DiskRequest req)
+std::size_t
+Disk::queueDepth() const
+{
+    auto first = waiting.begin() + static_cast<std::ptrdiff_t>(waitingHead);
+    return static_cast<std::size_t>(
+        waiting.end()
+        - std::upper_bound(first, waiting.end(), simulator.now()));
+}
+
+Disk::Booking
+Disk::book(const DiskRequest &req, sim::Tick arrival)
 {
     if (req.sectors == 0)
         panic("%s: zero-length request", diskName.c_str());
@@ -77,80 +84,40 @@ Disk::access(DiskRequest req)
         panic("%s: request [%llu, +%u) beyond capacity",
               diskName.c_str(), static_cast<unsigned long long>(req.lba),
               req.sectors);
-    Pending pending;
-    pending.req = req;
-    pending.arrival = simulator.now();
-    queue.push_back(&pending);
-    workAvailable.fire();
-    co_await pending.done.wait();
-    co_return pending.detail;
+    if (arrival < lastArrival)
+        panic("%s: arrival at tick %llu booked after one at tick %llu",
+              diskName.c_str(), static_cast<unsigned long long>(arrival),
+              static_cast<unsigned long long>(lastArrival));
+    lastArrival = arrival;
+
+    const sim::Tick start = std::max(arrival, busyUntil);
+    AccessDetail det = computeTiming(req, start);
+    det.queueTicks = start - arrival;
+    busyUntil = start + det.serviceTicks();
+    account(start, req, det);
+
+    // Pass over the start ticks now() has reached, dropping them once
+    // they are half the list; remember this one if it is still to come.
+    const sim::Tick now = simulator.now();
+    while (waitingHead < waiting.size() && waiting[waitingHead] <= now)
+        ++waitingHead;
+    if (2 * waitingHead >= waiting.size()) {
+        waiting.erase(waiting.begin(),
+                      waiting.begin()
+                          + static_cast<std::ptrdiff_t>(waitingHead));
+        waitingHead = 0;
+    }
+    if (start > now)
+        waiting.push_back(start);
+    return Booking{det, busyUntil};
 }
 
-Disk::Pending *
-Disk::pickNext()
+void
+Disk::Access::await_suspend(std::coroutine_handle<> h)
 {
-    if (policy == SchedPolicy::Fcfs) {
-        Pending *p = queue.front();
-        queue.pop_front();
-        return p;
-    }
-    if (policy == SchedPolicy::Sstf) {
-        std::size_t best_idx = 0;
-        std::uint32_t best_dist = ~0u;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            std::uint32_t cyl = geom.locate(queue[i]->req.lba).cylinder;
-            std::uint32_t dist = cyl > headCylinder
-                                 ? cyl - headCylinder
-                                 : headCylinder - cyl;
-            if (dist < best_dist) {
-                best_dist = dist;
-                best_idx = i;
-            }
-        }
-        Pending *p = queue[best_idx];
-        queue.erase(queue.begin()
-                    + static_cast<std::ptrdiff_t>(best_idx));
-        return p;
-    }
-    // LOOK elevator: nearest request at or beyond the head in the
-    // sweep direction; reverse when the current direction is empty.
-    auto better = [this](std::uint32_t cand, std::uint32_t best,
-                         bool up) {
-        if (up)
-            return cand >= headCylinder
-                   && (best < headCylinder || cand < best);
-        return cand <= headCylinder
-               && (best > headCylinder || cand > best);
-    };
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        std::size_t best_idx = queue.size();
-        std::uint32_t best_cyl = 0;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            std::uint32_t cyl = geom.locate(queue[i]->req.lba).cylinder;
-            if (best_idx == queue.size()) {
-                bool eligible = sweepingUp ? cyl >= headCylinder
-                                           : cyl <= headCylinder;
-                if (eligible) {
-                    best_idx = i;
-                    best_cyl = cyl;
-                }
-            } else if (better(cyl, best_cyl, sweepingUp)) {
-                best_idx = i;
-                best_cyl = cyl;
-            }
-        }
-        if (best_idx < queue.size()) {
-            Pending *p = queue[best_idx];
-            queue.erase(queue.begin()
-                        + static_cast<std::ptrdiff_t>(best_idx));
-            return p;
-        }
-        sweepingUp = !sweepingUp;
-    }
-    // All requests are on the head cylinder edge cases: fall back.
-    Pending *p = queue.front();
-    queue.pop_front();
-    return p;
+    Booking booked = drive.book(req, drive.simulator.now());
+    detail = booked.detail;
+    drive.simulator.scheduleAt(booked.done, h);
 }
 
 double
@@ -163,10 +130,9 @@ Disk::angleAt(sim::Tick t) const
 }
 
 AccessDetail
-Disk::computeTiming(const DiskRequest &req)
+Disk::computeTiming(const DiskRequest &req, sim::Tick start)
 {
     AccessDetail d;
-    const sim::Tick now = simulator.now();
     d.overheadTicks = sim::fromSeconds(
         diskSpec->controllerOverheadMs * 1e-3);
 
@@ -181,9 +147,9 @@ Disk::computeTiming(const DiskRequest &req)
                                     / diskSpec->cacheSegments
                                     / diskSpec->sectorBytes;
         // Prefetch continues while the controller processes the
-        // command, so the window is evaluated at now + overhead.
+        // command, so the window is evaluated at start + overhead.
         std::uint64_t streamed = static_cast<std::uint64_t>(
-            (now + d.overheadTicks - raRefTick) / std::max<sim::Tick>(
+            (start + d.overheadTicks - raRefTick) / std::max<sim::Tick>(
                 geom.sectorTicks(raZone), 1));
         std::uint64_t ra_end = raBase + std::min(streamed, seg_sectors);
         if (lba >= raBase && lba < ra_end) {
@@ -205,10 +171,10 @@ Disk::computeTiming(const DiskRequest &req)
         }
     }
 
-    Position start = geom.locate(lba);
+    Position first = geom.locate(lba);
     bool sequential_write = false;
     if (req.write && lba == lastWriteEnd
-        && now - lastWriteTick <= 2 * geom.revolutionTicks()) {
+        && start - lastWriteTick <= 2 * geom.revolutionTicks()) {
         // Write buffer coalescing: back-to-back sequential writes
         // stream without re-incurring seek or rotational latency.
         sequential_write = true;
@@ -216,24 +182,24 @@ Disk::computeTiming(const DiskRequest &req)
 
     bool positioned = d.cacheHitBytes > 0 || sequential_write;
     if (!positioned) {
-        std::uint32_t dist = start.cylinder > headCylinder
-                             ? start.cylinder - headCylinder
-                             : headCylinder - start.cylinder;
+        std::uint32_t dist = first.cylinder > headCylinder
+                             ? first.cylinder - headCylinder
+                             : headCylinder - first.cylinder;
         if (dist > 0) {
             d.seekTicks = seeks->seekTicks(dist, req.write);
             ++accumulated.seeks;
             if (obsSeeks)
                 obsSeeks->add();
-        } else if (start.track != headTrack) {
+        } else if (first.track != headTrack) {
             d.seekTicks = sim::fromSeconds(
                 diskSpec->headSwitchMs * 1e-3);
         }
         // Rotational delay from the angle when positioning finishes
         // to the target sector's angle.
-        sim::Tick arrive = now + d.overheadTicks + d.seekTicks;
+        sim::Tick arrive = start + d.overheadTicks + d.seekTicks;
         double angle = angleAt(arrive);
-        double target = static_cast<double>(start.sector)
-                        / geom.sectorsPerTrack(start.zone);
+        double target = static_cast<double>(first.sector)
+                        / geom.sectorsPerTrack(first.zone);
         double wait = target - angle;
         if (wait < 0)
             wait += 1.0;
@@ -246,7 +212,7 @@ Disk::computeTiming(const DiskRequest &req)
     // skew-hidden track and cylinder switches, and sectorTicks()
     // derives from that rate, so the walk charges media time only;
     // switch costs appear in the positioning path above.
-    Position pos = start;
+    Position pos = first;
     std::uint32_t remaining = sectors;
     while (remaining > 0) {
         std::uint32_t spt = geom.sectorsPerTrack(pos.zone);
@@ -271,7 +237,7 @@ Disk::computeTiming(const DiskRequest &req)
         injectFaults(d, req);
 
     // Commit mechanical state for the position after the transfer.
-    sim::Tick end = now + d.serviceTicks();
+    sim::Tick end = start + d.serviceTicks();
     headCylinder = pos.cylinder;
     headTrack = pos.track;
     refTick = end;
@@ -346,43 +312,29 @@ Disk::injectFaults(AccessDetail &d, const DiskRequest &req)
     }
 }
 
-sim::Coro<void>
-Disk::serviceLoop()
+/** Fold one booked request into the statistics, trace and metrics. */
+void
+Disk::account(sim::Tick start, const DiskRequest &req,
+              const AccessDetail &det)
 {
-    for (;;) {
-        while (queue.empty()) {
-            workAvailable.reset();
-            co_await workAvailable.wait();
-        }
-        Pending *pending = pickNext();
-        sim::Tick service_start = simulator.now();
-        pending->detail = computeTiming(pending->req);
-        pending->detail.queueTicks = simulator.now() - pending->arrival;
-        co_await sim::delay(pending->detail.serviceTicks());
-        if (trace) {
-            trace->push_back(TraceRecord{service_start, pending->req,
-                                         pending->detail});
-        }
-        if (obsSink)
-            recordObs(service_start, *pending);
+    if (trace)
+        trace->push_back(TraceRecord{start, req, det});
+    if (obsSink)
+        recordObs(start, req, det);
 
-        const auto &det = pending->detail;
-        const auto &req = pending->req;
-        ++accumulated.requests;
-        accumulated.busyTicks += det.serviceTicks();
-        accumulated.seekTicks += det.seekTicks;
-        accumulated.rotationTicks += det.rotationTicks;
-        accumulated.mediaTicks += det.mediaTicks;
-        accumulated.queueTicks += det.queueTicks;
-        accumulated.cacheHitBytes += det.cacheHitBytes;
-        std::uint64_t bytes = static_cast<std::uint64_t>(req.sectors)
-                              * diskSpec->sectorBytes;
-        if (req.write)
-            accumulated.bytesWritten += bytes;
-        else
-            accumulated.bytesRead += bytes;
-        pending->done.fire();
-    }
+    ++accumulated.requests;
+    accumulated.busyTicks += det.serviceTicks();
+    accumulated.seekTicks += det.seekTicks;
+    accumulated.rotationTicks += det.rotationTicks;
+    accumulated.mediaTicks += det.mediaTicks;
+    accumulated.queueTicks += det.queueTicks;
+    accumulated.cacheHitBytes += det.cacheHitBytes;
+    std::uint64_t bytes = static_cast<std::uint64_t>(req.sectors)
+                          * diskSpec->sectorBytes;
+    if (req.write)
+        accumulated.bytesWritten += bytes;
+    else
+        accumulated.bytesRead += bytes;
 }
 
 /**
@@ -392,17 +344,16 @@ Disk::serviceLoop()
  * detail the span nests overhead/seek/rotate/media sub-slices.
  */
 void
-Disk::recordObs(sim::Tick serviceStart, const Pending &pending)
+Disk::recordObs(sim::Tick start, const DiskRequest &req,
+                const AccessDetail &det)
 {
-    const AccessDetail &det = pending.detail;
-    const DiskRequest &req = pending.req;
     std::uint64_t bytes = static_cast<std::uint64_t>(req.sectors)
                           * diskSpec->sectorBytes;
 
     obsSink->complete(obsTrack, req.write ? "write" : "read", "disk",
-                      serviceStart, det.serviceTicks());
+                      start, det.serviceTicks());
     if (obsFine) {
-        sim::Tick t = serviceStart;
+        sim::Tick t = start;
         if (det.overheadTicks) {
             obsSink->complete(obsTrack, "overhead", "disk.phase", t,
                               det.overheadTicks);

@@ -1,7 +1,7 @@
 /**
  * @file
- * The disk drive entity: request queue, scheduler, mechanism timing
- * and on-drive cache.
+ * The disk drive entity: FCFS request calendar, mechanism timing and
+ * on-drive cache.
  *
  * The model captures the behaviours the paper's experiments depend
  * on: zoned media rates, seek/rotation costs for non-sequential
@@ -15,8 +15,8 @@
 #ifndef HOWSIM_DISK_DISK_HH
 #define HOWSIM_DISK_DISK_HH
 
+#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +24,6 @@
 #include "disk/disk_spec.hh"
 #include "disk/geometry.hh"
 #include "disk/seek_curve.hh"
-#include "sim/awaitables.hh"
-#include "sim/completion.hh"
-#include "sim/coro.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
@@ -46,17 +43,6 @@ class Injector;
 
 namespace howsim::disk
 {
-
-/** Request queue ordering policy. */
-enum class SchedPolicy
-{
-    /** First-come first-served. */
-    Fcfs,
-    /** LOOK elevator: sweep by cylinder, reversing at the edges. */
-    Elevator,
-    /** Shortest seek time first (can starve distant requests). */
-    Sstf,
-};
 
 /** One I/O request addressed to a disk. */
 struct DiskRequest
@@ -118,27 +104,57 @@ struct DiskStats
 };
 
 /**
- * A single disk drive. Construct against the live Simulator; the
- * drive spawns its own service process.
+ * A single disk drive, served first-come first-served. An FCFS drive
+ * fixes a request's outcome the moment the request arrives, so the
+ * drive is a calendar: book() times each request at its arrival and
+ * the caller resumes once, at the finish tick it returns. The drive
+ * runs no process and schedules no event of its own.
  */
 class Disk
 {
   public:
     /** The spec is copied; temporaries may be passed in. */
-    Disk(sim::Simulator &s, DiskSpec spec,
-         SchedPolicy policy = SchedPolicy::Fcfs,
-         std::string name = "disk");
+    Disk(sim::Simulator &s, DiskSpec spec, std::string name = "disk");
 
     Disk(const Disk &) = delete;
     Disk &operator=(const Disk &) = delete;
 
     ~Disk();
 
+    /** A booked request's timing and the tick its mechanism finishes. */
+    struct Booking
+    {
+        AccessDetail detail;
+        sim::Tick done = 0;
+    };
+
     /**
-     * Issue a request and suspend until the mechanism completes.
-     * Multiple outstanding requests queue per the scheduling policy.
+     * Book @p req arriving at @p arrival: it starts at the later of
+     * @p arrival and the end of the request booked before it, and the
+     * mechanism, cache, fault and statistics state advance now, under
+     * that start tick. Arrivals must be booked in non-decreasing order
+     * (panics otherwise), so booking order is service order.
      */
-    sim::Coro<AccessDetail> access(DiskRequest req);
+    Booking book(const DiskRequest &req, sim::Tick arrival);
+
+    /** Awaitable returned by access(). */
+    struct Access
+    {
+        Disk &drive;
+        DiskRequest req;
+        AccessDetail detail{};
+
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(std::coroutine_handle<> h);
+        AccessDetail await_resume() const noexcept { return detail; }
+    };
+
+    /**
+     * Book @p req arriving now and suspend until the mechanism
+     * finishes it; the awaiting coroutine resumes once, at the finish
+     * tick. Builds no frame.
+     */
+    Access access(DiskRequest req) { return Access{*this, req}; }
 
     const Geometry &geometry() const { return geom; }
     const SeekCurve &seekCurve() const { return *seeks; }
@@ -149,11 +165,11 @@ class Disk
     /** Bytes addressable on this drive. */
     std::uint64_t capacityBytes() const;
 
-    /** Current request queue depth (excluding in-service). */
-    std::size_t queueDepth() const { return queue.size(); }
+    /** Requests booked but not yet started at now(). */
+    std::size_t queueDepth() const;
 
     /**
-     * Record every serviced request into @p sink (null disables).
+     * Record every booked request into @p sink (null disables).
      * The sink must outlive the drive or be detached first. Kept for
      * in-process analysis (see examples/trace_explorer.cpp); the
      * observability session records the same decomposition as trace
@@ -162,20 +178,12 @@ class Disk
     void traceTo(std::vector<TraceRecord> *sink) { trace = sink; }
 
   private:
-    /** One queued request; it lives on the access() frame. */
-    struct Pending
-    {
-        DiskRequest req;
-        sim::Tick arrival = 0;
-        AccessDetail detail;
-        sim::Completion done;
-    };
-
-    sim::Coro<void> serviceLoop();
-    Pending *pickNext();
-    AccessDetail computeTiming(const DiskRequest &req);
+    AccessDetail computeTiming(const DiskRequest &req, sim::Tick start);
     void injectFaults(AccessDetail &d, const DiskRequest &req);
-    void recordObs(sim::Tick serviceStart, const Pending &pending);
+    void account(sim::Tick start, const DiskRequest &req,
+                 const AccessDetail &det);
+    void recordObs(sim::Tick start, const DiskRequest &req,
+                   const AccessDetail &det);
 
     /** Fraction of a revolution the platter covers by time @p t. */
     double angleAt(sim::Tick t) const;
@@ -184,16 +192,21 @@ class Disk
     Geometry geom;
     const DiskSpec *diskSpec; // points into geom's owned copy
     std::shared_ptr<const SeekCurve> seeks;
-    SchedPolicy policy;
     std::string diskName;
 
-    std::deque<Pending *> queue;
-    sim::Trigger workAvailable;
+    // The calendar: the last booked arrival and the tick the
+    // mechanism frees up.
+    sim::Tick lastArrival = 0;
+    sim::Tick busyUntil = 0;
+
+    // Start ticks of booked requests, ascending; the ones from
+    // waitingHead on had not started at the last booking.
+    std::vector<sim::Tick> waiting;
+    std::size_t waitingHead = 0;
 
     // Mechanical state.
     std::uint32_t headCylinder = 0;
     std::uint32_t headTrack = 0;
-    bool sweepingUp = true;
 
     // Angular reference: at refTick the head was at refAngle (in
     // revolutions, [0,1)).
@@ -226,7 +239,7 @@ class Disk
     obs::Histogram *obsFaultRetries = nullptr;
 
     // Cached observability hooks; all null when observability is off,
-    // so the service loop pays one null check per request.
+    // so a booking pays one null check.
     obs::Session *obsSess = nullptr;
     obs::TraceSink *obsSink = nullptr;
     std::uint32_t obsTrack = 0;

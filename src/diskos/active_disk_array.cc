@@ -40,8 +40,7 @@ ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
     for (int d = 0; d < ndisks; ++d) {
         auto &drv = drives[static_cast<std::size_t>(d)];
         drv.mech = std::make_unique<disk::Disk>(
-            s, spec, disk::SchedPolicy::Fcfs,
-            "ad" + std::to_string(d));
+            s, spec, "ad" + std::to_string(d));
         drv.cpu = std::make_unique<os::Cpu>(
             adParams.cpuMhz, os::referenceCpuMhz,
             adParams.costs.contextSwitch);
@@ -187,21 +186,23 @@ ActiveDiskArray::localIo(int d, std::uint64_t offset,
 {
     if (!takeover.empty())
         d = co_await takeover.route(d, 0, size());
-    auto &drv = drives[static_cast<std::size_t>(d)];
-    co_await sim::delay(adParams.costs.ioQueue);
-    const std::uint32_t sector = drv.mech->spec().sectorBytes;
+    disk::Disk &mech = *drives[static_cast<std::size_t>(d)].mech;
+    const std::uint32_t sector = mech.spec().sectorBytes;
     std::uint64_t first = offset / sector;
     std::uint64_t last = (offset + bytes + sector - 1) / sector;
-    disk::AccessDetail detail = co_await drv.mech->access(
+    // The request reaches the drive after DiskOS queueing; DiskOS then
+    // fields one check-condition per injected media reread and the
+    // completion interrupt. One resume covers all of it.
+    const sim::Tick now = simulator.now();
+    disk::Disk::Booking booked = mech.book(
         disk::DiskRequest{first,
                           static_cast<std::uint32_t>(last - first),
-                          write});
-    // DiskOS fields one check-condition per injected media reread.
-    if (detail.retries > 0) {
-        co_await sim::delay(adParams.costs.interrupt
-                            * static_cast<sim::Tick>(detail.retries));
-    }
-    co_await sim::delay(adParams.costs.interrupt);
+                          write},
+        now + adParams.costs.ioQueue);
+    co_await sim::delay(booked.done - now
+                        + adParams.costs.interrupt
+                              * (1 + static_cast<sim::Tick>(
+                                     booked.detail.retries)));
 }
 
 sim::Coro<void>

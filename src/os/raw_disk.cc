@@ -19,7 +19,6 @@ RawDisk::enableSplit(sim::Simulator &sim, sim::Tick completionLatency)
         panic("RawDisk::enableSplit: zero completion latency");
     splitSim = &sim;
     completionLat = completionLatency;
-    toDisk = sim.allocKeyStream();
     toHost = sim.allocKeyStream();
 }
 
@@ -49,33 +48,26 @@ RawDisk::io(std::uint64_t offset, std::uint64_t bytes, bool write)
     req.sectors = static_cast<std::uint32_t>(last - first);
     req.write = write;
 
-    sim::Tick start = sim::Simulator::current()->now();
+    const sim::Tick start = sim::Simulator::current()->now();
 
-    // Issue path: system call plus device-driver queueing. Split, the
-    // request crosses to the drive as one keyed hop (the system call
-    // and the driver-queueing time are the flight) and the mechanism
-    // runs there.
-    if (splitSim) {
-        co_await splitSim->hop(osCosts.syscall + osCosts.ioQueue, toDisk);
-    } else {
-        co_await sim::delay(osCosts.syscall + osCosts.ioQueue);
-    }
-
+    // The system call and the driver queueing carry the request to the
+    // drive, which books it; each injected media-error reread then
+    // surfaces as a check-condition the driver fields before the
+    // transfer completes. Split, the completion flies back to the host
+    // as one keyed hop after completionLat; fused, the coroutine
+    // resumes once, when the driver is done.
     IoResult result;
-    result.detail = co_await diskRef.access(req);
-
-    // Each injected media-error reread surfaces as a check-condition
-    // the driver must field before the transfer completes.
-    if (result.detail.retries > 0) {
-        co_await sim::delay(osCosts.interrupt
-                            * static_cast<sim::Tick>(
-                                result.detail.retries));
-    }
-
-    // Split, the completion flies back to the host after
-    // completionLat.
+    disk::Disk::Booking booked = diskRef.book(
+        req, start + osCosts.syscall + osCosts.ioQueue);
+    result.detail = booked.detail;
+    const sim::Tick fielded = booked.done - start
+                              + osCosts.interrupt
+                                    * static_cast<sim::Tick>(
+                                        booked.detail.retries);
     if (splitSim)
-        co_await splitSim->hop(completionLat, toHost);
+        co_await splitSim->hop(fielded + completionLat, toHost);
+    else
+        co_await sim::delay(fielded);
 
     if (attachBus)
         co_await attachBus->transfer(bytes);

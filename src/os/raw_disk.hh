@@ -53,13 +53,12 @@ class RawDisk
     std::uint64_t capacityBytes() const { return diskRef.capacityBytes(); }
 
     /**
-     * Switch this access path to the split protocol: the issue hops
-     * from the host to the drive side, landing at +syscall+ioQueue,
-     * the mechanism runs there, and completion hops back after
-     * @p completionLatency (DESIGN.md §14). Timing relative to the
-     * fused path shifts by exactly +completionLatency per I/O.
-     * Allocates the two key streams — call at machine-construction
-     * time, in fixed order.
+     * Switch this access path to the split protocol: the request
+     * reaches the drive at +syscall+ioQueue as on the fused path, and
+     * its completion hops back to the host after @p completionLatency
+     * (DESIGN.md §14). Timing relative to the fused path shifts by
+     * exactly +completionLatency per I/O. Allocates the completion
+     * key stream — call at machine-construction time, in fixed order.
      */
     void enableSplit(sim::Simulator &sim, sim::Tick completionLatency);
 
@@ -75,9 +74,7 @@ class RawDisk
     /** @{ */
     sim::Simulator *splitSim = nullptr;
     sim::Tick completionLat = 0;
-    /** Issue stream: keys the host side's request hops. */
-    sim::KeyStream toDisk;
-    /** Completion stream: keys the drive side's completion hops. */
+    /** Keys the completion hops, drawn in booking order. */
     sim::KeyStream toHost;
     /** @} */
 };

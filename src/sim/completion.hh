@@ -6,12 +6,11 @@
  * Trigger supports any number of waiting coroutines. The Network's
  * per-frame walker has exactly one waiter — the transport coroutine —
  * and its completion is signalled from a plain event handler, not
- * from another coroutine; a queued disk request and a striped SMP I/O
- * also have exactly one waiter. Completion is the minimal primitive
- * for that shape: one handle, one flag, no vector, so it can live in
- * the waiter's own frame. fire() schedules the waiter's resumption at
- * the current tick, the same position Trigger::fire() would have
- * produced.
+ * from another coroutine; a striped SMP I/O also has exactly one
+ * waiter. Completion is the minimal primitive for that shape: one
+ * handle, one flag, no vector, so it can live in the waiter's own
+ * frame. fire() schedules the waiter's resumption at the current
+ * tick, the same position Trigger::fire() would have produced.
  */
 
 #ifndef HOWSIM_SIM_COMPLETION_HH

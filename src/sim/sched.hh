@@ -48,7 +48,9 @@ constexpr std::uint64_t kKeyedSeqBand = std::uint64_t{1} << 62;
  * Allocator of keyed sequence numbers for one logical entity. Streams
  * are handed out by Simulator::allocKeyStream() in construction order,
  * so the assignment is identical across runs. Key layout:
- * band | stream << 36 | counter.
+ * band | stream << 36 | counter. A default-constructed stream was
+ * never allocated: its keys lack the band bit, so postKeyed() rejects
+ * them instead of letting them tie with stream 0's.
  */
 class KeyStream
 {
@@ -67,7 +69,7 @@ class KeyStream
     static constexpr unsigned counterBits = 36;
 
   private:
-    std::uint64_t base = kKeyedSeqBand;
+    std::uint64_t base = 0;
     std::uint64_t counter = 0;
 };
 

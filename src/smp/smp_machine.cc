@@ -52,8 +52,7 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
 
     for (int d = 0; d < ndisks; ++d) {
         farm.push_back(std::make_unique<disk::Disk>(
-            s, spec, disk::SchedPolicy::Fcfs,
-            "smpdisk" + std::to_string(d)));
+            s, spec, "smpdisk" + std::to_string(d)));
         raw.push_back(std::make_unique<os::RawDisk>(*farm.back(),
                                                     fc.get(),
                                                     smpParams.costs));

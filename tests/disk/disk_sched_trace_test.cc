@@ -1,78 +1,28 @@
-/** @file Tests for disk schedulers and request tracing. */
+/** @file Tests for FCFS service of a backlog and request tracing. */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "disk/disk.hh"
-#include "sim/random.hh"
 
 using namespace howsim::disk;
 using namespace howsim::sim;
 
-namespace
-{
-
-/** Issue @p n random small reads through @p pol; return seconds. */
-double
-randomBacklogSeconds(howsim::disk::SchedPolicy pol, int n, std::uint64_t seed)
-{
-    Simulator sim;
-    Disk disk(sim, DiskSpec::seagateSt39102(), pol);
-    Rng rng(seed);
-    std::vector<std::uint64_t> lbas;
-    for (int i = 0; i < n; ++i)
-        lbas.push_back(rng.below(disk.geometry().totalSectors() - 16));
-    Tick finish = 0;
-    int outstanding = 0;
-    auto issue = [&](std::uint64_t lba) -> Coro<void> {
-        ++outstanding;
-        co_await disk.access(DiskRequest{lba, 16, false});
-        if (--outstanding == 0)
-            finish = Simulator::current()->now();
-    };
-    for (auto lba : lbas)
-        sim.spawn(issue(lba));
-    sim.run();
-    return toSeconds(finish);
-}
-
-} // namespace
-
-TEST(DiskSched, SstfBeatsFcfsOnBacklog)
-{
-    double fcfs = randomBacklogSeconds(howsim::disk::SchedPolicy::Fcfs, 64, 11);
-    double sstf = randomBacklogSeconds(howsim::disk::SchedPolicy::Sstf, 64, 11);
-    EXPECT_LT(sstf, fcfs * 0.8);
-}
-
-TEST(DiskSched, SstfComparableToElevator)
-{
-    double elevator
-        = randomBacklogSeconds(howsim::disk::SchedPolicy::Elevator, 64, 13);
-    double sstf = randomBacklogSeconds(howsim::disk::SchedPolicy::Sstf, 64, 13);
-    EXPECT_LT(sstf, elevator * 1.3);
-    EXPECT_GT(sstf, elevator * 0.5);
-}
-
 TEST(DiskSched, AllPoliciesServeEverything)
 {
-    using howsim::disk::SchedPolicy;
-    for (auto pol : {SchedPolicy::Fcfs, SchedPolicy::Elevator,
-                     SchedPolicy::Sstf}) {
-        Simulator sim;
-        Disk disk(sim, DiskSpec::seagateSt39102(), pol);
-        int served = 0;
-        auto issue = [&](std::uint64_t lba) -> Coro<void> {
-            co_await disk.access(DiskRequest{lba, 8, false});
-            ++served;
-        };
-        for (int i = 0; i < 32; ++i)
-            sim.spawn(issue(static_cast<std::uint64_t>(i) * 500000));
-        sim.run();
-        EXPECT_EQ(served, 32);
-        EXPECT_EQ(disk.stats().requests, 32u);
-    }
+    Simulator sim;
+    Disk disk(sim, DiskSpec::seagateSt39102());
+    int served = 0;
+    auto issue = [&](std::uint64_t lba) -> Coro<void> {
+        co_await disk.access(DiskRequest{lba, 8, false});
+        ++served;
+    };
+    for (int i = 0; i < 32; ++i)
+        sim.spawn(issue(static_cast<std::uint64_t>(i) * 500000));
+    sim.run();
+    EXPECT_EQ(served, 32);
+    EXPECT_EQ(disk.stats().requests, 32u);
 }
 
 TEST(DiskTrace, RecordsEveryServicedRequest)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "disk/disk.hh"
+#include "sim/awaitables.hh"
 #include "sim/random.hh"
 
 using namespace howsim::disk;
@@ -179,39 +180,6 @@ TEST(Disk, InnerZoneSlowerThanOuterZone)
     EXPECT_LT(inner / outer, 1.7);
 }
 
-TEST(Disk, ElevatorBeatsFcfsOnBacklog)
-{
-    DiskSpec spec = DiskSpec::seagateSt39102();
-
-    auto run_policy = [&](howsim::disk::SchedPolicy pol) {
-        Simulator sim;
-        Disk disk(sim, spec, pol);
-        Rng rng(7);
-        const int n = 64;
-        std::vector<std::uint64_t> lbas;
-        for (int i = 0; i < n; ++i)
-            lbas.push_back(rng.below(disk.geometry().totalSectors()
-                                     - 16));
-        int outstanding = 0;
-        Tick finish = 0;
-        auto issue = [&](std::uint64_t lba) -> Coro<void> {
-            ++outstanding;
-            co_await disk.access(DiskRequest{lba, 16, false});
-            if (--outstanding == 0)
-                finish = Simulator::current()->now();
-        };
-        std::vector<ProcessRef> procs;
-        for (auto lba : lbas)
-            procs.push_back(sim.spawn(issue(lba)));
-        sim.run();
-        return toSeconds(finish);
-    };
-
-    double fcfs = run_policy(howsim::disk::SchedPolicy::Fcfs);
-    double elevator = run_policy(howsim::disk::SchedPolicy::Elevator);
-    EXPECT_LT(elevator, fcfs * 0.8);
-}
-
 TEST(Disk, StatsAccountBytes)
 {
     Simulator sim;
@@ -261,19 +229,18 @@ TEST(Disk, DetailComponentsSumToService)
 
 TEST(Disk, DrivesOfOneSpecShareASeekTable)
 {
-    constexpr auto fcfs = howsim::disk::SchedPolicy::Fcfs;
     Simulator sim;
-    Disk a(sim, DiskSpec::seagateSt39102(), fcfs, "a");
-    Disk b(sim, DiskSpec::seagateSt39102(), fcfs, "b");
+    Disk a(sim, DiskSpec::seagateSt39102(), "a");
+    Disk b(sim, DiskSpec::seagateSt39102(), "b");
     EXPECT_EQ(&a.seekCurve(), &b.seekCurve());
 
     DiskSpec slower = DiskSpec::seagateSt39102();
     slower.avgSeekMs += 1.0;
-    Disk c(sim, slower, fcfs, "c");
+    Disk c(sim, slower, "c");
     EXPECT_NE(&c.seekCurve(), &a.seekCurve());
     std::uint32_t far = a.geometry().diskSpec().totalCylinders() / 3;
     EXPECT_GT(c.seekCurve().seekTicks(far), a.seekCurve().seekTicks(far));
 
-    Disk other(sim, DiskSpec::hitachiDk3e1t91(), fcfs, "d");
+    Disk other(sim, DiskSpec::hitachiDk3e1t91(), "d");
     EXPECT_NE(&other.seekCurve(), &a.seekCurve());
 }

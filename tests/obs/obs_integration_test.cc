@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -239,8 +240,20 @@ TEST_F(ObsTest, DiskMetricsAccountForTheRun)
     // Every request contributes one service-time sample.
     EXPECT_EQ(metrics.histogram("ad0.service_ticks").count(),
               requests);
+    // ... and one queueing sample.
+    const obs::Histogram &queued = metrics.histogram("ad0.queue_ticks");
+    EXPECT_EQ(queued.count(), requests);
     EXPECT_GT(metrics.counter("ad0.bytes_read").value(), 0u);
     EXPECT_GT(metrics.gauge("sim.events_executed").value(), 0.0);
+    // The sort makes requests wait behind others on the drive, and the
+    // queue-depth timeline records the backlog.
+    EXPECT_GT(queued.max(), 0u);
+    double deepest = 0.0;
+    for (const auto &ev : session.trace().allEvents()) {
+        if (ev.ph == 'C' && ev.name == "ad0.queue_depth")
+            deepest = std::max(deepest, ev.value);
+    }
+    EXPECT_GT(deepest, 0.0);
 }
 
 TEST_F(ObsTest, ObservabilityDoesNotPerturbSimulatedTime)

@@ -506,6 +506,17 @@ TEST(SimulatorDeathTest, PostKeyedRejectsKeyOutsideBand)
     EXPECT_DEATH(sim.postKeyed(10, 5, [] {}), "outside the keyed band");
 }
 
+// A stream that was never allocated must not draw stream 0's keys.
+TEST(SimulatorDeathTest, PostKeyedRejectsAnUnallocatedStream)
+{
+    Simulator sim;
+    KeyStream allocated = sim.allocKeyStream();
+    KeyStream unallocated;
+    EXPECT_NE(unallocated.next(), allocated.next());
+    EXPECT_DEATH(sim.postKeyed(10, unallocated.next(), [] {}),
+                 "outside the keyed band");
+}
+
 TEST(SimulatorDeathTest, PostKeyedRejectsPastTick)
 {
     Simulator sim;
