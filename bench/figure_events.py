@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Check or rewrite bench/figure_events.txt, the simulated event count
-of each figure bench.
+and coroutine frame count of each figure bench.
 
 Each bench's BenchHarness records the events its simulators executed
-in the JSON file HOWSIM_BENCH_JSON names. The count is deterministic at
-any HOWSIM_JOBS, so a change that moves it changed the model's event
-stream. Usage, after running the figure benches with one
-HOWSIM_BENCH_JSON:
+and the frames their arenas allocated in the JSON file
+HOWSIM_BENCH_JSON names. Both counts are deterministic at any
+HOWSIM_JOBS, so a change that moves one changed the model's event
+stream or its coroutine structure. Usage, after running the figure
+benches with one HOWSIM_BENCH_JSON:
 
     python3 bench/figure_events.py BENCH_JSON          # exit 1 on a mismatch
     python3 bench/figure_events.py --write BENCH_JSON  # record the counts
@@ -17,8 +18,10 @@ import sys
 from pathlib import Path
 
 TABLE = Path(__file__).resolve().parent / "figure_events.txt"
-HEADER = ("# Simulated events per figure bench (BenchHarness \"events\"),\n"
-          "# checked by bench/figure_events.py.\n")
+FIELDS = ("events", "frames")
+HEADER = ("# Simulated events and coroutine frames per figure bench\n"
+          "# (BenchHarness \"events\" and \"frames\"), checked by\n"
+          "# bench/figure_events.py.\n")
 
 
 def main(argv):
@@ -31,18 +34,20 @@ def main(argv):
     expected = {}
     for line in TABLE.read_text().splitlines():
         if line.strip() and not line.startswith("#"):
-            name, events = line.split()
-            expected[name] = int(events)
+            name, *counts = line.split()
+            expected[name] = dict(zip(FIELDS, map(int, counts)))
     if write:
         TABLE.write_text(HEADER + "".join(
-            f"{name} {records[name]['events']}\n" for name in expected))
+            name + "".join(f" {records[name][f]}" for f in FIELDS) + "\n"
+            for name in expected))
         return 0
     status = 0
-    for name, events in expected.items():
-        got = records.get(name, {}).get("events")
-        if got != events:
-            print(f"{name}: events {got}, expected {events}")
-            status = 1
+    for name, counts in expected.items():
+        for field in FIELDS:
+            got = records.get(name, {}).get(field)
+            if got != counts.get(field):
+                print(f"{name}: {field} {got}, expected {counts.get(field)}")
+                status = 1
     return status
 
 

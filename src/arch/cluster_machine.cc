@@ -39,11 +39,11 @@ ClusterMachine::ClusterMachine(sim::Simulator &s, int nnodes,
         node.raw = std::make_unique<os::RawDisk>(
             *node.drive, node.pci.get(), clusterParams.costs);
         node.cpu = std::make_unique<os::Cpu>(
-            clusterParams.cpuMhz, os::referenceCpuMhz,
+            s, clusterParams.cpuMhz, os::referenceCpuMhz,
             clusterParams.costs.contextSwitch);
     }
     feCpu = std::make_unique<os::Cpu>(
-        clusterParams.frontendCpuMhz, os::referenceCpuMhz,
+        s, clusterParams.frontendCpuMhz, os::referenceCpuMhz,
         clusterParams.costs.contextSwitch);
     // Workers plus the front-end hang off the fabric.
     fabric = std::make_unique<net::Network>(s, nnodes + 1,

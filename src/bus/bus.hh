@@ -11,13 +11,11 @@
  * busy, which is what turns a shared 200 MB/s interconnect into the
  * SMP bottleneck the paper measures.
  *
- * The bus books that FIFO schedule as a calendar: a transfer that
- * finds a free channel and no queue is granted inline, others wait
- * in a pending queue, and only completion events are scheduled, with
- * no coroutine frame per transfer. Grants and completions fall at the
- * same ticks, in the same order, as under a Resource acquire / delay
- * / release coroutine per transfer (DESIGN.md §12); the differential
- * tests check this against exactly that reference.
+ * The bus books that FIFO schedule on a sim::Calendar, the FIFO
+ * calendar it shares with the processors: no coroutine frame per
+ * transfer, and grants and completions at the same ticks, in the same
+ * order, as under a Resource acquire / delay / release coroutine per
+ * transfer (DESIGN.md §12).
  */
 
 #ifndef HOWSIM_BUS_BUS_HH
@@ -25,17 +23,15 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "bus/xfer.hh"
+#include "sim/calendar.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::obs
 {
-class Counter;
-class Histogram;
 class Session;
 } // namespace howsim::obs
 
@@ -160,7 +156,11 @@ class Bus
      * are applied: the position a coroutine awaiting transfer()
      * resumes at. Queues FIFO behind pending bookings.
      */
-    void bookAsync(std::uint64_t bytes, sim::EventWord done);
+    void
+    bookAsync(std::uint64_t bytes, sim::EventWord done)
+    {
+        channels.book(occupancyTicks(bytes), done, bytes);
+    }
 
     /** Channel occupancy of one transfer: startup + bytes/rate. */
     sim::Tick
@@ -171,7 +171,12 @@ class Bus
     }
 
     const BusParams &params() const { return busParams; }
-    const BusStats &stats() const { return accumulated; }
+
+    BusStats
+    stats() const
+    {
+        return {channels.completed(), channels.units(), channels.busyTicks()};
+    }
 
     /**
      * Lower bound on the send-to-delivery latency of any transfer:
@@ -182,19 +187,16 @@ class Bus
     sim::Tick minGrantLatency() const { return busParams.startup; }
 
     /** Transfers currently waiting for a channel. */
-    std::size_t queueLength() const { return pending.size(); }
+    std::size_t queueLength() const { return channels.queueLength(); }
 
     /** Aggregate time transfers spent waiting for a channel. */
-    sim::Tick totalWait() const { return waitTicks; }
+    sim::Tick totalWait() const { return channels.totalWait(); }
 
     /** Fraction of channel capacity in use over @p elapsed ticks. */
     double
     utilization(sim::Tick elapsed) const
     {
-        if (elapsed == 0)
-            return 0.0;
-        return static_cast<double>(busyUnitTicks)
-               / (static_cast<double>(busParams.channels) * elapsed);
+        return channels.utilization(elapsed);
     }
 
     /** Awaitable returned by transfer(). */
@@ -219,50 +221,10 @@ class Bus
     };
 
   private:
-    /**
-     * Pooled per-booking record. It is the event target of its own
-     * steps: fire is the grant's occupy step or the completion,
-     * whichever is scheduled.
-     */
-    struct Rec final : sim::EventTarget
-    {
-        Bus *bus;
-        std::uint64_t bytes;
-        sim::Tick occ;
-        sim::Tick arrival;
-        sim::EventWord done;
-        Rec *nextFree;
-    };
-
-    Rec *allocRec();
-    void freeRec(Rec *r);
-    /** Integrate channel occupancy up to now (utilization). */
-    void integrate(sim::Tick now);
-    /** Hand @p r a channel at @p now and account its wait. */
-    void grant(Rec *r, sim::Tick now);
-    /** Schedule @p r's completion one occupancy from now. */
-    void occupy(Rec *r);
-    void onComplete(Rec *r);
-    static void occupyEvent(sim::EventTarget *self);
-    static void completeEvent(sim::EventTarget *self);
-
-    sim::Simulator &simulator;
     BusParams busParams;
-    BusStats accumulated;
+    sim::Calendar channels;
 
-    int activeCount = 0; //!< completion events not yet run
-    std::deque<Rec *> pending;
-    std::deque<Rec> recPool;
-    Rec *freeRecs = nullptr;
-    sim::Tick waitTicks = 0;
-    sim::Tick lastChange = 0;
-    std::uint64_t busyUnitTicks = 0;
-
-    // Cached observability hooks; null when observability is off.
-    obs::Counter *obsBytes = nullptr;
-    obs::Counter *obsTransfers = nullptr;
-    obs::Histogram *obsWait = nullptr;
-    obs::Histogram *obsDepth = nullptr;
+    /** Session the timeline probes went to; null when none. */
     obs::Session *obsSess = nullptr;
 };
 

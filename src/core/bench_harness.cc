@@ -64,7 +64,8 @@ parseRecords(const std::string &text)
 BenchHarness::BenchHarness(std::string name)
     : benchName(std::move(name)),
       wallStart(std::chrono::steady_clock::now()),
-      eventsStart(sim::totalEventsExecuted())
+      eventsStart(sim::totalEventsExecuted()),
+      framesStart(sim::totalFramesAllocated())
 {
 }
 
@@ -97,10 +98,13 @@ BenchHarness::~BenchHarness()
 {
     double wall = elapsedSeconds();
     std::uint64_t events = sim::totalEventsExecuted() - eventsStart;
+    std::uint64_t frames = sim::totalFramesAllocated() - framesStart;
 
     std::string body = strprintf(
-        "{\n    \"wall_seconds\": %.3f,\n    \"events\": %llu",
-        wall, static_cast<unsigned long long>(events));
+        "{\n    \"wall_seconds\": %.3f,\n    \"events\": %llu"
+        ",\n    \"frames\": %llu",
+        wall, static_cast<unsigned long long>(events),
+        static_cast<unsigned long long>(frames));
     // A zero-event bench (pure cost-model tables) has no meaningful
     // rate; omit the field rather than pollute trend diffs with 0s.
     if (events > 0 && wall > 0) {

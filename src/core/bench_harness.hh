@@ -4,7 +4,8 @@
  *
  * Each bench main() owns one BenchHarness for its whole run. On
  * destruction the harness merges a record — wall-clock seconds,
- * simulator events executed, events/sec (omitted for benches that
+ * simulator events executed, coroutine frames allocated from the
+ * simulators' arenas, events/sec (omitted for benches that
  * execute no events), worker count, hardware concurrency, plus any
  * extra metrics the benchmark attached — into
  * BENCH_events.json (path overridable via HOWSIM_BENCH_JSON). The
@@ -51,6 +52,7 @@ class BenchHarness
     std::string benchName;
     std::chrono::steady_clock::time_point wallStart;
     std::uint64_t eventsStart;
+    std::uint64_t framesStart;
     std::vector<std::pair<std::string, double>> extras;
     std::vector<std::pair<std::string, std::string>> noteExtras;
 };

@@ -42,7 +42,7 @@ ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
         drv.mech = std::make_unique<disk::Disk>(
             s, spec, "ad" + std::to_string(d));
         drv.cpu = std::make_unique<os::Cpu>(
-            adParams.cpuMhz, os::referenceCpuMhz,
+            s, adParams.cpuMhz, os::referenceCpuMhz,
             adParams.costs.contextSwitch);
         drv.commBuffers = std::make_unique<sim::Resource>(
             adParams.commBuffers());
@@ -56,7 +56,7 @@ ActiveDiskArray::ActiveDiskArray(sim::Simulator &s, int ndisks,
             inboxCapacity(adParams));
     }
     feCpu = std::make_unique<os::Cpu>(
-        adParams.frontendCpuMhz, os::referenceCpuMhz,
+        s, adParams.frontendCpuMhz, os::referenceCpuMhz,
         os::OsCosts::measuredPentiumII().contextSwitch);
     feBuffers = std::make_unique<sim::Resource>(adParams.frontendBuffers);
     feBuffers->observe("frontend.buffers");
@@ -205,12 +205,14 @@ ActiveDiskArray::localIo(int d, std::uint64_t offset,
                                      booked.detail.retries)));
 }
 
-sim::Coro<void>
+os::Cpu::Compute
 ActiveDiskArray::compute(int d, sim::Tick ref_ticks)
 {
-    if (!takeover.empty())
-        d = co_await takeover.route(d, 0, size());
-    co_await drives[static_cast<std::size_t>(d)].cpu->compute(ref_ticks);
+    if (takeover.empty())
+        return drives[static_cast<std::size_t>(d)].cpu->compute(ref_ticks);
+    fault::Takeover::Route r = takeover.route(d, 0, size());
+    return drives[static_cast<std::size_t>(r.device)].cpu->compute(
+        ref_ticks, r.at, r.redirects);
 }
 
 sim::Coro<void>

@@ -4,7 +4,7 @@
  * a shared serial interconnect, and the front-end host.
  *
  * DiskOS semantics modeled here:
- *  - Disklets compute on the drive's embedded CPU (a unit resource).
+ *  - Disklets compute on the drive's embedded CPU (one FIFO channel).
  *  - Local media I/O does not touch the serial interconnect.
  *  - Inter-device communication is flow-controlled by a fixed pool
  *    of DiskOS stream buffers per drive (scaling with drive memory).
@@ -96,7 +96,7 @@ class ActiveDiskArray final : public fault::AvailabilityTransport
     }
 
     /** Run @p ref_ticks of reference-CPU disklet work on drive d. */
-    sim::Coro<void> compute(int d, sim::Tick ref_ticks);
+    os::Cpu::Compute compute(int d, sim::Tick ref_ticks);
 
     /**
      * Send a block to a peer drive. Waits for a DiskOS stream buffer

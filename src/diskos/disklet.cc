@@ -9,13 +9,13 @@
 namespace howsim::diskos
 {
 
-sim::Coro<void>
+os::Cpu::Compute
 Disklet::compute(sim::Tick ref_ticks)
 {
     if (!pipeline)
         panic("disklet '%s' computing outside a pipeline",
               diskletName.c_str());
-    co_await pipeline->machine().compute(pipeline->drive(), ref_ticks);
+    return pipeline->machine().compute(pipeline->drive(), ref_ticks);
 }
 
 sim::Coro<void>

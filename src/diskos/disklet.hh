@@ -81,7 +81,7 @@ class Disklet
 
   protected:
     /** Run @p ref_ticks of reference-CPU work on this drive. */
-    sim::Coro<void> compute(sim::Tick ref_ticks);
+    os::Cpu::Compute compute(sim::Tick ref_ticks);
 
     /** Forward a block downstream. */
     sim::Coro<void> emit(StreamBlock block);

@@ -30,21 +30,21 @@ Takeover::Takeover(sim::Simulator &s, int devices) : simulator(s)
     }
 }
 
-sim::Coro<int>
-Takeover::route(int d, int first, int count)
+Takeover::Route
+Takeover::route(int d, int first, int count) const
 {
+    const sim::Tick now = simulator.now();
     const StopSchedule::Victim *v = sched.victimOf(d);
-    if (v == nullptr || sched.aliveAt(d, simulator.now()))
-        co_return d;
+    if (v == nullptr || sched.aliveAt(d, now))
+        return Route{d, now, nullptr};
     sim::Tick ready = v->stopAt + sched.lease;
     if (v->rejoins() && v->restartAt < ready)
         ready = v->restartAt;
-    if (simulator.now() < ready)
-        co_await sim::delay(ready - simulator.now());
-    if (sched.aliveAt(d, simulator.now()))
-        co_return d;
-    ++inj->counters().stopRedirects;
-    co_return sched.buddyOf(d, first, count);
+    const sim::Tick at = std::max(now, ready);
+    if (sched.aliveAt(d, at))
+        return Route{d, at, nullptr};
+    return Route{sched.buddyOf(d, first, count), at,
+                 &inj->counters().stopRedirects};
 }
 
 Detector::Detector(sim::Simulator &s, Injector &injector,

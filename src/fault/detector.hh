@@ -35,6 +35,7 @@
 #ifndef HOWSIM_FAULT_DETECTOR_HH
 #define HOWSIM_FAULT_DETECTOR_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -112,15 +113,46 @@ class Takeover
     bool empty() const { return sched.empty(); }
 
     /**
-     * The device that serves an operation addressed to @p d right
-     * now. A live device serves itself. An operation addressed to a
-     * dead device stalls until the front end could have declared the
-     * death (the nominal lease) or until the device restarts,
-     * whichever is first, then runs on the device itself (restarted)
-     * or on its buddy in [@p first, @p first + @p count) (redirected,
-     * counted in Counters::stopRedirects).
+     * Where and when an operation runs, decided at issue. Awaiting it
+     * suspends only to stall, resuming in one event at @ref at.
      */
-    sim::Coro<int> route(int d, int first, int count);
+    struct Route
+    {
+        int device;
+        sim::Tick at; //!< the start tick; later than issue on a stall
+        std::uint64_t *redirects; //!< bumped on proceeding; else null
+
+        bool
+        await_ready() const noexcept
+        {
+            return at <= sim::Simulator::current()->now();
+        }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            sim::Simulator::current()->scheduleAt(at, h);
+        }
+
+        int
+        await_resume() const noexcept
+        {
+            if (redirects)
+                ++*redirects;
+            return device;
+        }
+    };
+
+    /**
+     * Route an operation addressed to @p d now. A live device serves
+     * itself at once. An operation addressed to a dead device stalls
+     * until the front end could have declared the death (the nominal
+     * lease) or the device restarts, whichever is first, then runs on
+     * the device itself (restarted) or on its buddy in [@p first,
+     * @p first + @p count) (redirected: Counters::stopRedirects counts
+     * it as it proceeds).
+     */
+    Route route(int d, int first, int count) const;
 
   private:
     sim::Simulator &simulator;

@@ -6,18 +6,18 @@
  * machine (a DEC Alpha 2100 4/275) and "models variation in processor
  * speed by scaling these processing times". Cpu reproduces that: work
  * is expressed in reference-machine ticks and stretched by the ratio
- * of clock rates. The Cpu is a unit resource, so concurrent activities
- * on one processor serialize.
+ * of clock rates. The Cpu is a one-channel sim::Calendar, the FIFO
+ * calendar of the buses, so concurrent activities on one processor
+ * serialize, and a compute books as its caller suspends: no frame.
  */
 
 #ifndef HOWSIM_OS_CPU_HH
 #define HOWSIM_OS_CPU_HH
 
+#include <coroutine>
 #include <cstdint>
 
-#include "sim/awaitables.hh"
-#include "sim/coro.hh"
-#include "sim/resource.hh"
+#include "sim/calendar.hh"
 #include "sim/ticks.hh"
 
 namespace howsim::os
@@ -37,10 +37,9 @@ class Cpu
      *                    compute request finds the CPU busy (two
      *                    activities interleaving on one processor).
      */
-    explicit Cpu(double mhz, double ref_mhz = referenceCpuMhz,
-                 sim::Tick switch_cost = 0)
-        : clockMhz(mhz), scale(ref_mhz / mhz),
-          switchCost(switch_cost), unit(1)
+    Cpu(sim::Simulator &s, double mhz, double ref_mhz = referenceCpuMhz,
+        sim::Tick switch_cost = 0)
+        : clockMhz(mhz), scale(ref_mhz / mhz), unit(s, 1, switch_cost)
     {
     }
 
@@ -52,51 +51,61 @@ class Cpu
             static_cast<double>(ref_ticks) * scale);
     }
 
+    /** Awaitable returned by compute(): books as its caller suspends. */
+    struct Compute
+    {
+        sim::Calendar *unit;
+        sim::Tick ticks; //!< this processor's time, before any switch
+        sim::Tick start;
+        std::uint64_t *bump;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> cont) const
+        {
+            unit->book(ticks, cont, 0, start, bump);
+        }
+
+        void await_resume() const noexcept {}
+    };
+
     /**
      * Execute @p ref_ticks of reference-machine work, serializing
-     * with other work on this processor.
+     * with other work on this processor. A @p start after now stalls
+     * the booking until then (fault::Takeover::Route), and *@p bump
+     * counts as it proceeds.
      */
-    sim::Coro<void>
-    compute(sim::Tick ref_ticks)
+    Compute
+    compute(sim::Tick ref_ticks, sim::Tick start = 0,
+            std::uint64_t *bump = nullptr)
     {
-        sim::Tick t = scaled(ref_ticks);
-        bool contended = unit.available() == 0;
-        co_await unit.acquire();
-        if (contended && switchCost > 0) {
-            ++switches;
-            t += switchCost;
-        }
-        co_await sim::delay(t);
-        unit.release();
-        busy += t;
+        return Compute{&unit, scaled(ref_ticks), start, bump};
     }
 
     /**
      * Copy @p bytes through this processor at @p ref_rate bytes per
      * second of reference-machine time.
      */
-    sim::Coro<void>
+    Compute
     copyBytes(std::uint64_t bytes, double ref_rate)
     {
-        co_await compute(sim::transferTicks(bytes, ref_rate));
+        return compute(sim::transferTicks(bytes, ref_rate));
     }
 
     double mhz() const { return clockMhz; }
-    sim::Tick busyTicks() const { return busy; }
+    sim::Tick busyTicks() const { return unit.busyTicks(); }
 
     /** Time work spent queued behind other work on this CPU. */
     sim::Tick contendedTicks() const { return unit.totalWait(); }
 
     /** Context switches charged (contended handoffs). */
-    std::uint64_t switchCount() const { return switches; }
+    std::uint64_t switchCount() const { return unit.switchCount(); }
 
   private:
     double clockMhz;
     double scale;
-    sim::Tick switchCost;
-    sim::Resource unit;
-    sim::Tick busy = 0;
-    std::uint64_t switches = 0;
+    sim::Calendar unit;
 };
 
 } // namespace howsim::os

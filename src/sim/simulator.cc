@@ -19,6 +19,7 @@ thread_local Simulator *currentSim = nullptr;
  * the counter costs nothing on the event-loop hot path.
  */
 std::atomic<std::uint64_t> allSimulatorEvents{0};
+std::atomic<std::uint64_t> allSimulatorFrames{0};
 
 } // namespace
 
@@ -26,6 +27,12 @@ std::uint64_t
 totalEventsExecuted()
 {
     return allSimulatorEvents.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+totalFramesAllocated()
+{
+    return allSimulatorFrames.load(std::memory_order_relaxed);
 }
 
 Simulator::Simulator(SchedPolicy, int partitions) : Simulator()
@@ -71,6 +78,9 @@ Simulator::~Simulator()
         obsSession->bindClock(obsPrevClock);
     currentSim = previous;
     allSimulatorEvents.fetch_add(executed, std::memory_order_relaxed);
+    Arena::Stats arena = frameArena.stats();
+    allSimulatorFrames.fetch_add(arena.allocs + arena.oversize,
+                                 std::memory_order_relaxed);
 }
 
 Simulator *

@@ -306,6 +306,9 @@ Coro<void> joinAll(std::vector<ProcessRef> procs);
  */
 std::uint64_t totalEventsExecuted();
 
+/** Arena allocations (frames) of every destroyed Simulator. */
+std::uint64_t totalFramesAllocated();
+
 } // namespace howsim::sim
 
 #endif // HOWSIM_SIM_SIMULATOR_HH

@@ -23,7 +23,7 @@ SmpMachine::SmpMachine(sim::Simulator &s, int nprocs, int ndisks,
 
     for (int p = 0; p < nprocs; ++p)
         cpus.push_back(std::make_unique<os::Cpu>(
-            smpParams.cpuMhz, os::referenceCpuMhz,
+            s, smpParams.cpuMhz, os::referenceCpuMhz,
             smpParams.costs.contextSwitch));
 
     int nboards = (nprocs + smpParams.cpusPerBoard - 1)

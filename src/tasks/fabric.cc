@@ -48,22 +48,20 @@ class AdFabric final : public Fabric
         return machine.interconnect().stats().bytes;
     }
 
-    os::Cpu &cpu(int d) override { return machine.cpu(d); }
     os::Cpu &frontendCpu() override { return machine.frontendCpu(); }
 
-    Coro<void>
+    os::Cpu::Compute
     compute(int d, Tick ref_ticks) override
     {
         return machine.compute(d, ref_ticks);
     }
 
-    std::string
-    cpuTrack(int d) const override
+    const ComputeTrack &
+    computeTrack() const override
     {
-        return strprintf("ad%d.cpu", d);
+        static constexpr ComputeTrack track{"ad%d.cpu", "disklet"};
+        return track;
     }
-
-    const char *computeCategory() const override { return "disklet"; }
 
     Coro<void>
     read(int d, std::uint64_t offset, std::uint64_t bytes) override
@@ -209,22 +207,20 @@ class ClusterFabric final : public Fabric
         return machine.network().totalBytes();
     }
 
-    os::Cpu &cpu(int node) override { return machine.cpu(node); }
     os::Cpu &frontendCpu() override { return machine.frontendCpu(); }
 
-    Coro<void>
+    os::Cpu::Compute
     compute(int node, Tick ref_ticks) override
     {
         return machine.cpu(node).compute(ref_ticks);
     }
 
-    std::string
-    cpuTrack(int node) const override
+    const ComputeTrack &
+    computeTrack() const override
     {
-        return strprintf("h%d.cpu", node);
+        static constexpr ComputeTrack track{"h%d.cpu", "compute"};
+        return track;
     }
-
-    const char *computeCategory() const override { return "compute"; }
 
     Coro<void>
     read(int node, std::uint64_t offset, std::uint64_t bytes) override

@@ -17,11 +17,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "os/cpu.hh"
 #include "sim/coro.hh"
 #include "sim/ticks.hh"
+#include "tasks/task_result.hh"
 
 namespace howsim::arch
 {
@@ -81,15 +81,13 @@ class Fabric
 
     /** @name Compute */
     /** @{ */
-    virtual os::Cpu &cpu(int d) = 0;
     virtual os::Cpu &frontendCpu() = 0;
 
     /** Run @p ref_ticks of reference-CPU work on device @p d. */
-    virtual sim::Coro<void> compute(int d, sim::Tick ref_ticks) = 0;
+    virtual os::Cpu::Compute compute(int d, sim::Tick ref_ticks) = 0;
 
-    /** Trace track and category of device @p d's compute spans. */
-    virtual std::string cpuTrack(int d) const = 0;
-    virtual const char *computeCategory() const = 0;
+    /** Trace track and category of the devices' compute spans. */
+    virtual const ComputeTrack &computeTrack() const = 0;
     /** @} */
 
     /** @name Local media */

@@ -39,22 +39,12 @@ SmpTaskRunner::SmpTaskRunner(sim::Simulator &s, smp::SmpMachine &machine_,
 {
 }
 
-Coro<void>
+ChargedCompute
 SmpTaskRunner::computeIn(int p, const char *bucket, Tick ref_ticks)
 {
-    Tick scaled = machine.cpu(p).scaled(ref_ticks);
-    result.buckets.add(bucket, sim::toSeconds(scaled));
-    // Per-chunk compute spans are high-volume: fine-detail only.
-    obs::Session *sess = obs::session();
-    if (sess && sess->fine()) {
-        Tick t0 = simulator.now();
-        co_await machine.cpu(p).compute(ref_ticks);
-        sess->trace().complete(
-            sess->trace().track("cpu" + std::to_string(p)), bucket,
-            "compute", t0, simulator.now() - t0);
-    } else {
-        co_await machine.cpu(p).compute(ref_ticks);
-    }
+    static constexpr ComputeTrack track{"cpu%d", "compute"};
+    return ChargedCompute(machine.cpu(p).compute(ref_ticks),
+                          result.buckets, bucket, track, p);
 }
 
 Coro<void>

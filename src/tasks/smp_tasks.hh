@@ -72,8 +72,9 @@ class SmpTaskRunner
     using Queues
         = std::vector<std::unique_ptr<smp::SmpMachine::SharedQueue>>;
 
-    sim::Coro<void> computeIn(int p, const char *bucket,
-                              sim::Tick ref_ticks);
+    /** Processor @p p's compute, charged to @p bucket. */
+    ChargedCompute computeIn(int p, const char *bucket,
+                             sim::Tick ref_ticks);
 
     /** Spawn the worker set for @p kind; shared by run paths. */
     std::vector<sim::ProcessRef>

@@ -55,24 +55,12 @@ TaskRunner::TaskRunner(sim::Simulator &s, std::unique_ptr<Fabric> f,
     goKeys = s.allocKeyStream();
 }
 
-Coro<void>
+ChargedCompute
 TaskRunner::computeIn(int d, const char *bucket, Tick ref_ticks)
 {
-    Tick scaled = fabric->cpu(d).scaled(ref_ticks);
-    shards[static_cast<std::size_t>(d)].buckets.add(
-        bucket, sim::toSeconds(scaled));
-    // Per-chunk compute spans are high-volume, so they are
-    // fine-detail only.
-    obs::Session *sess = obs::session();
-    if (sess && sess->fine()) {
-        Tick t0 = simulator.now();
-        co_await fabric->compute(d, ref_ticks);
-        sess->trace().complete(sess->trace().track(fabric->cpuTrack(d)),
-                               bucket, fabric->computeCategory(), t0,
-                               simulator.now() - t0);
-    } else {
-        co_await fabric->compute(d, ref_ticks);
-    }
+    return ChargedCompute(fabric->compute(d, ref_ticks),
+                          shards[static_cast<std::size_t>(d)].buckets,
+                          bucket, fabric->computeTrack(), d);
 }
 
 Coro<void>
@@ -528,8 +516,8 @@ TaskRunner::dmineWorker(int d, const DatasetSpec &data)
     const std::uint64_t local_bytes
         = data.inputBytes / static_cast<std::uint64_t>(size());
     auto plan = workload::DminePlan::plan(data);
-    auto merge = [this, d](Tick ref_ticks) {
-        return computeIn(d, "reduce.cpu", ref_ticks);
+    auto merge = [this, d](Tick ref_ticks) -> Coro<void> {
+        co_await computeIn(d, "reduce.cpu", ref_ticks);
     };
 
     // Pass 1: count item frequencies.

@@ -93,8 +93,9 @@ class TaskRunner
 
     /** @name Plumbing */
     /** @{ */
-    sim::Coro<void> computeIn(int d, const char *bucket,
-                              sim::Tick ref_ticks);
+    /** Device @p d's compute, charged to @p bucket of its shard. */
+    ChargedCompute computeIn(int d, const char *bucket,
+                             sim::Tick ref_ticks);
     sim::Coro<void> ioProducer(int d, std::uint64_t base,
                                std::uint64_t bytes,
                                sim::Channel<std::uint64_t> *ch);

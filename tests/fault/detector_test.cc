@@ -14,6 +14,8 @@
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
+#include "disk/disk_spec.hh"
+#include "diskos/active_disk_array.hh"
 #include "fault/detector.hh"
 #include "fault/fault.hh"
 #include "sim/awaitables.hh"
@@ -71,6 +73,56 @@ routeAt(const char *spec, int d, sim::Tick at, int first = 0,
     return r;
 }
 
+/** A routed operation on a 4-drive Active Disk array. */
+struct Served
+{
+    sim::Tick done = 0;          //!< when the caller resumed
+    sim::Tick work = 0;          //!< a compute's scaled ticks
+    int servedBy = -1;           //!< the drive whose CPU or disk ran it
+    std::uint64_t probed = 0;    //!< stopRedirects at the probe tick
+    std::uint64_t redirects = 0; //!< stopRedirects after the run
+};
+
+/**
+ * Issue a 1 ms compute (or a 64 KB read) addressed to drive @p d at
+ * @p at on a 4-drive array under @p spec, and read the redirect
+ * counter at @p probe_at.
+ */
+Served
+serveOnArray(const char *spec, bool compute, int d, sim::Tick at,
+             sim::Tick probe_at)
+{
+    fault::Scope scope(fault::FaultPlan::parse(spec));
+    sim::Simulator simulator;
+    diskos::ActiveDiskArray arr(simulator, 4,
+                                disk::DiskSpec::seagateSt39102());
+    const fault::Counters &counters = scope.injector()->counters();
+    Served s;
+    auto op = [&]() -> sim::Coro<void> {
+        co_await sim::delay(at);
+        if (compute)
+            co_await arr.compute(d, sim::milliseconds(1));
+        else
+            co_await arr.readLocal(d, 0, 64 * 1024);
+        s.done = simulator.now();
+    };
+    auto probe = [&]() -> sim::Coro<void> {
+        co_await sim::delay(probe_at);
+        s.probed = counters.stopRedirects;
+    };
+    simulator.spawn(op());
+    simulator.spawn(probe());
+    simulator.run();
+    s.work = arr.cpu(0).scaled(sim::milliseconds(1));
+    for (int i = 0; i < arr.size(); ++i) {
+        if (arr.cpu(i).busyTicks() > 0
+            || arr.drive(i).stats().requests > 0)
+            s.servedBy = i;
+    }
+    s.redirects = counters.stopRedirects;
+    return s;
+}
+
 } // namespace
 
 TEST(Takeover, RouteServesLiveRedirectsDeadAndKeepsRestarted)
@@ -101,6 +153,24 @@ TEST(Takeover, RouteServesLiveRedirectsDeadAndKeepsRestarted)
     EXPECT_EQ(grouped.device, 0);
     EXPECT_EQ(grouped.redirects, 1u);
 
+    // On an Active Disk array a routed compute and a routed read
+    // addressed to the dead drive stall to the lease end, count no
+    // redirect inside the stall and one after it, and run on the
+    // buddy's CPU or drive, exactly as if issued there at the lease end.
+    const sim::Tick leaseEnd = plan.stopAt + plan.leaseTicks();
+    Served compute = serveOnArray(dies, true, 1, issued, leaseEnd - 1);
+    EXPECT_EQ(compute.servedBy, 2);
+    EXPECT_EQ(compute.done, leaseEnd + compute.work);
+    EXPECT_EQ(compute.probed, 0u);
+    EXPECT_EQ(compute.redirects, 1u);
+    Served read = serveOnArray(dies, false, 1, issued, leaseEnd - 1);
+    Served direct = serveOnArray(dies, false, 2, leaseEnd, 0);
+    EXPECT_EQ(read.servedBy, 2);
+    EXPECT_EQ(read.done, direct.done);
+    EXPECT_EQ(read.probed, 0u);
+    EXPECT_EQ(read.redirects, 1u);
+    EXPECT_EQ(direct.redirects, 0u);
+
     // A device that restarts before the lease runs out serves itself
     // from the restart on; nothing is redirected.
     const char *restarts = "stop.disk=1,stop.at.ms=10,"
@@ -110,6 +180,14 @@ TEST(Takeover, RouteServesLiveRedirectsDeadAndKeepsRestarted)
     EXPECT_EQ(back.device, 1);
     EXPECT_EQ(back.at, plan.stopAt + plan.stopRestart);
     EXPECT_EQ(back.redirects, 0u);
+    const sim::Tick restartAt = plan.stopAt + plan.stopRestart;
+    Served resumed = serveOnArray(restarts, true, 1, issued, restartAt);
+    EXPECT_EQ(resumed.servedBy, 1);
+    EXPECT_EQ(resumed.done, restartAt + resumed.work);
+    EXPECT_EQ(resumed.redirects, 0u);
+    Served reread = serveOnArray(restarts, false, 1, issued, restartAt);
+    EXPECT_EQ(reread.servedBy, 1);
+    EXPECT_EQ(reread.redirects, 0u);
 }
 
 TEST(Detector, DetectionLatencyIsEmergentNotConfigured)

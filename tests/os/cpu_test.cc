@@ -10,16 +10,17 @@ using namespace howsim::sim;
 
 TEST(Cpu, ScalesReferenceTimeByClockRatio)
 {
-    os::Cpu cpu(550); // twice the 275 MHz reference
+    Simulator sim;
+    os::Cpu cpu(sim, 550); // twice the 275 MHz reference
     EXPECT_EQ(cpu.scaled(milliseconds(100)), milliseconds(50));
-    os::Cpu slow(137.5);
+    os::Cpu slow(sim, 137.5);
     EXPECT_EQ(slow.scaled(milliseconds(100)), milliseconds(200));
 }
 
 TEST(Cpu, SerializesConcurrentWork)
 {
     Simulator sim;
-    os::Cpu cpu(275);
+    os::Cpu cpu(sim, 275);
     Tick done = 0;
     int remaining = 4;
     auto body = [&]() -> Coro<void> {
@@ -37,7 +38,7 @@ TEST(Cpu, SerializesConcurrentWork)
 TEST(Cpu, ChargesContextSwitchOnContendedHandoff)
 {
     Simulator sim;
-    os::Cpu cpu(275, 275, microseconds(100));
+    os::Cpu cpu(sim, 275, 275, microseconds(100));
     Tick done = 0;
     int remaining = 2;
     auto body = [&]() -> Coro<void> {
@@ -56,7 +57,7 @@ TEST(Cpu, ChargesContextSwitchOnContendedHandoff)
 TEST(Cpu, NoSwitchChargeWhenIdle)
 {
     Simulator sim;
-    os::Cpu cpu(275, 275, microseconds(100));
+    os::Cpu cpu(sim, 275, 275, microseconds(100));
     Tick done = 0;
     auto body = [&]() -> Coro<void> {
         co_await cpu.compute(milliseconds(5));
@@ -72,7 +73,7 @@ TEST(Cpu, NoSwitchChargeWhenIdle)
 TEST(Cpu, CopyBytesUsesReferenceRate)
 {
     Simulator sim;
-    os::Cpu cpu(550); // 2x reference clock
+    os::Cpu cpu(sim, 550); // 2x reference clock
     Tick done = 0;
     auto body = [&]() -> Coro<void> {
         // 1 MB at a 10 MB/s reference rate = 100 ms ref = 50 ms here.
